@@ -3,7 +3,7 @@
 from .gate import Gate, GateKind, classify_gate, two_qubit_pairs
 from .circuit import QuantumCircuit
 from .dag import CircuitDAG, DagNode
-from .interaction_graph import InteractionGraph
+from .interaction_graph import InteractionGraph, quotient_adjacency
 from .qasm import QasmError, load_qasm_file, parse_qasm, to_qasm
 from .characteristics import (
     PAPER_CHARACTERISTICS,
@@ -25,6 +25,7 @@ __all__ = [
     "classify_gate",
     "load_qasm_file",
     "parse_qasm",
+    "quotient_adjacency",
     "to_qasm",
     "two_qubit_pairs",
 ]

@@ -28,6 +28,10 @@ class QuantumCircuit:
         self.num_qubits = int(num_qubits)
         self.name = name
         self._gates: List[Gate] = []
+        # Structural properties the batch-manager metric reads at every
+        # decision point, memoized until the next append.
+        self._two_qubit_count: Optional[int] = None
+        self._depths: Dict[bool, int] = {}
         if gates is not None:
             for gate in gates:
                 self.append(gate)
@@ -44,6 +48,8 @@ class QuantumCircuit:
                     f"{self.num_qubits} qubits"
                 )
         self._gates.append(gate)
+        self._two_qubit_count = None
+        self._depths.clear()
 
     def add(self, name: str, *qubits: int, params: Sequence[float] = ()) -> None:
         """Convenience wrapper: ``circuit.add("cx", 0, 1)``."""
@@ -125,7 +131,9 @@ class QuantumCircuit:
 
     @property
     def num_two_qubit_gates(self) -> int:
-        return sum(1 for g in self._gates if g.is_two_qubit)
+        if self._two_qubit_count is None:
+            self._two_qubit_count = sum(1 for g in self._gates if g.is_two_qubit)
+        return self._two_qubit_count
 
     @property
     def num_single_qubit_gates(self) -> int:
@@ -144,14 +152,18 @@ class QuantumCircuit:
 
     def depth(self, count_barriers: bool = False) -> int:
         """Circuit depth: the length of the longest qubit-dependency chain."""
-        frontier = [0] * self.num_qubits
-        for gate in self._gates:
-            if gate.kind is GateKind.BARRIER and not count_barriers:
-                continue
-            level = 1 + max(frontier[q] for q in gate.qubits)
-            for q in gate.qubits:
-                frontier[q] = level
-        return max(frontier, default=0)
+        count_barriers = bool(count_barriers)
+        depth = self._depths.get(count_barriers)
+        if depth is None:
+            frontier = [0] * self.num_qubits
+            for gate in self._gates:
+                if gate.kind is GateKind.BARRIER and not count_barriers:
+                    continue
+                level = 1 + max(frontier[q] for q in gate.qubits)
+                for q in gate.qubits:
+                    frontier[q] = level
+            depth = self._depths[count_barriers] = max(frontier, default=0)
+        return depth
 
     def two_qubit_interactions(self) -> Dict[Tuple[int, int], int]:
         """Multiset of qubit pairs connected by two-qubit gates (the D_ij matrix)."""

@@ -131,11 +131,15 @@ class Gate:
         for q in self.qubits:
             if q < 0:
                 raise ValueError(f"gate {self.name!r} has negative qubit index {q}")
+        # Classified once: scoring, the remote DAG and the latency model read
+        # the kind of every gate on every placement attempt.  Not a field, so
+        # equality, hashing and repr are unchanged.
+        object.__setattr__(self, "_kind", classify_gate(self.name, len(self.qubits)))
 
     @property
     def kind(self) -> GateKind:
         """Coarse classification used by latency/cost models."""
-        return classify_gate(self.name, len(self.qubits))
+        return self._kind
 
     @property
     def num_qubits(self) -> int:
@@ -143,15 +147,15 @@ class Gate:
 
     @property
     def is_two_qubit(self) -> bool:
-        return self.kind is GateKind.TWO_QUBIT
+        return self._kind is GateKind.TWO_QUBIT
 
     @property
     def is_single_qubit(self) -> bool:
-        return self.kind is GateKind.SINGLE_QUBIT
+        return self._kind is GateKind.SINGLE_QUBIT
 
     @property
     def is_measurement(self) -> bool:
-        return self.kind is GateKind.MEASUREMENT
+        return self._kind is GateKind.MEASUREMENT
 
     def remap(self, mapping: dict[int, int]) -> "Gate":
         """Return a copy of the gate with qubit indices remapped.

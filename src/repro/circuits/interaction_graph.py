@@ -7,11 +7,38 @@ share ``w`` two-qubit gates (the paper's D_ij matrix).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
 
 import networkx as nx
 
 from .circuit import QuantumCircuit
+
+
+def quotient_adjacency(
+    edges: Iterable[Tuple[Hashable, Hashable, float]],
+    assignment: Mapping[Hashable, Hashable],
+) -> Dict[Hashable, Dict[Hashable, float]]:
+    """Collapse qubits into their parts: ``{part: {other part: cut weight}}``.
+
+    ``edges`` are ``(qubit, qubit, weight)`` triples.  Every part of
+    ``assignment`` is a key, in sorted order; edges inside one part, or
+    touching a qubit the assignment leaves out, are dropped.  Each row
+    lists its neighbours in the order their first crossing edge arrives,
+    as a networkx graph built edge by edge would.
+    """
+    # detlint: ignore[DET003] part labels are distinct ints; sorted() output is canonical regardless of set order
+    adjacency = {part: {} for part in sorted(set(assignment.values()))}
+    for a, b, weight in edges:
+        if a not in assignment or b not in assignment:
+            continue
+        pa, pb = assignment[a], assignment[b]
+        if pa == pb:
+            continue
+        total = adjacency[pa].get(pb)
+        total = weight if total is None else total + weight
+        adjacency[pa][pb] = total
+        adjacency[pb][pa] = total
+    return adjacency
 
 
 class InteractionGraph:
@@ -106,21 +133,15 @@ class InteractionGraph:
 
         The result is the "remote partition interaction graph" G_p used when
         mapping partitions onto QPUs: nodes are part labels and an edge weight
-        counts the two-qubit gates crossing that pair of parts.
+        counts the two-qubit gates crossing that pair of parts (the networkx
+        form of :func:`quotient_adjacency`).
         """
+        adjacency = quotient_adjacency(self.edges(), assignment)
         quotient = nx.Graph()
-        # detlint: ignore[DET003] part labels are distinct ints; sorted() output is canonical regardless of set order
-        quotient.add_nodes_from(sorted(set(assignment.values())))
-        for a, b, weight in self.edges():
-            if a not in assignment or b not in assignment:
-                continue
-            pa, pb = assignment[a], assignment[b]
-            if pa == pb:
-                continue
-            if quotient.has_edge(pa, pb):
-                quotient[pa][pb]["weight"] += weight
-            else:
-                quotient.add_edge(pa, pb, weight=weight)
+        quotient.add_nodes_from(adjacency)
+        for part, row in adjacency.items():
+            for other, weight in row.items():
+                quotient.add_edge(part, other, weight=weight)
         return quotient
 
     def to_networkx(self) -> nx.Graph:

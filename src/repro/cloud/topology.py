@@ -142,7 +142,8 @@ class CloudTopology:
     def links(self) -> List[Tuple[int, int]]:
         return [tuple(sorted(edge)) for edge in self.graph.edges()]
 
-    def _ensure_distances(self) -> Dict[int, Dict[int, int]]:
+    def distance_table(self) -> Dict[int, Dict[int, int]]:
+        """All-pairs hop distances, ``table[a][b]`` (computed once; read-only)."""
         if self._distances is None:
             self._distances = dict(nx.all_pairs_shortest_path_length(self.graph))
         return self._distances
@@ -151,7 +152,7 @@ class CloudTopology:
         """Hop distance between two QPUs -- the paper's ``C_ij``."""
         if a == b:
             return 0
-        distances = self._ensure_distances()
+        distances = self.distance_table()
         try:
             return distances[a][b]
         except KeyError as exc:  # pragma: no cover - topology is connected

@@ -9,12 +9,27 @@ future jobs.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set
+from typing import (
+    Any,
+    Container,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 import networkx as nx
 
 from .greedy import greedy_modularity_communities
 from .louvain import louvain_communities
+
+#: ``{node: {neighbour: edge data}}`` -- networkx's own dict-of-dicts shape.
+Adjacency = Mapping[Hashable, Mapping[Hashable, Any]]
 
 
 class CommunityError(RuntimeError):
@@ -32,33 +47,88 @@ def detect_communities(
     raise ValueError(f"unknown community detection method {method!r}")
 
 
-def graph_center(graph: nx.Graph, nodes: Optional[Sequence[Hashable]] = None) -> Hashable:
+def _adjacency(graph: Union[nx.Graph, Adjacency]) -> Adjacency:
+    return dict(graph.adjacency()) if isinstance(graph, nx.Graph) else graph
+
+
+def _hop_layers(
+    adjacency: Adjacency, source: Hashable, inside: Container[Hashable]
+) -> Tuple[Set[Hashable], int]:
+    """BFS from ``source`` within ``inside``: (nodes reached, eccentricity)."""
+    reached = {source}
+    frontier = [source]
+    depth = -1
+    while frontier:
+        depth += 1
+        layer = []
+        for node in frontier:
+            for neighbor in adjacency[node]:
+                if neighbor in inside and neighbor not in reached:
+                    reached.add(neighbor)
+                    layer.append(neighbor)
+        frontier = layer
+    return reached, depth
+
+
+def graph_center(
+    graph: Union[nx.Graph, Adjacency], nodes: Optional[Iterable[Hashable]] = None
+) -> Hashable:
     """Node minimising the longest hop distance to all others (Algorithm 2).
 
-    When ``nodes`` is given, the centre is computed on that induced subgraph;
-    disconnected subgraphs fall back to the largest component.
+    ``graph`` is a networkx graph or an adjacency mapping (node ->
+    neighbours).  When ``nodes`` is given, the centre is computed on that
+    induced subgraph; disconnected subgraphs fall back to the largest
+    component.  Eccentricity ties go to the smallest ``str(node)``.
     """
-    subgraph = graph if nodes is None else graph.subgraph(nodes)
-    if subgraph.number_of_nodes() == 0:
+    adjacency = _adjacency(graph)
+    inside: Container[Hashable] = adjacency
+    if nodes is None:
+        members = list(adjacency)
+    else:
+        inside = {node for node in nodes if node in adjacency}
+        # Scan order decides which of two equal-size largest components
+        # wins.  It is networkx's induced-subgraph order: the node set itself
+        # when it holds under half the graph, else the graph's own order.
+        if 2 * len(inside) < len(adjacency):
+            members = list(inside)
+        else:
+            members = [node for node in adjacency if node in inside]
+    if not members:
         raise ValueError("cannot compute the center of an empty graph")
-    if subgraph.number_of_nodes() == 1:
-        return next(iter(subgraph.nodes()))
-    if not nx.is_connected(subgraph):
-        largest = max(nx.connected_components(subgraph), key=len)
-        subgraph = subgraph.subgraph(largest)
-    eccentricity = nx.eccentricity(subgraph)
-    return min(eccentricity, key=lambda node: (eccentricity[node], str(node)))
+    if len(members) == 1:
+        return members[0]
+    largest: Set[Hashable] = set()
+    seen: Set[Hashable] = set()
+    for node in members:
+        if node not in seen:
+            component, _ = _hop_layers(adjacency, node, inside)
+            seen |= component
+            if len(component) > len(largest):
+                largest = component
+    return min(
+        largest,
+        key=lambda node: (_hop_layers(adjacency, node, largest)[1], str(node)),
+    )
+
+
+def _availability(resource_graph: nx.Graph) -> Dict[Hashable, int]:
+    return dict(resource_graph.nodes(data="available", default=0))
+
+
+def _capacity(available: Mapping[Hashable, int], community: Iterable[Hashable]) -> int:
+    return int(sum(available[node] for node in community))
 
 
 def community_capacity(resource_graph: nx.Graph, community: Set[Hashable]) -> int:
     """Total available computing qubits inside a community."""
-    return int(
-        sum(resource_graph.nodes[node].get("available", 0) for node in community)
-    )
+    return _capacity(_availability(resource_graph), community)
 
 
 def _community_score(
-    resource_graph: nx.Graph, community: Set[Hashable], required_qubits: int
+    adjacency: Adjacency,
+    available: Mapping[Hashable, int],
+    community: Set[Hashable],
+    required_qubits: int,
 ) -> float:
     """Rank communities: prefer tight fits with strong internal connectivity.
 
@@ -66,28 +136,34 @@ def _community_score(
     the placement formulation); internal edge weight rewards short network
     distances between the selected QPUs.
     """
-    capacity = community_capacity(resource_graph, community)
+    capacity = _capacity(available, community)
     if capacity < required_qubits:
         return float("-inf")
-    internal_weight = sum(
-        float(d.get("weight", 1.0))
-        for _, _, d in resource_graph.subgraph(community).edges(data=True)
-    )
+    internal_weight = 0.0
+    counted: Set[Hashable] = set()
+    for node in community:
+        for neighbor, data in adjacency[node].items():
+            if neighbor in community and neighbor not in counted:
+                internal_weight += float(data.get("weight", 1.0))  # detlint: ignore[DET003] resource-graph edge weights are whole numbers (1 + free qubits), so this sum is exact in any order
+        counted.add(node)
     slack = capacity - required_qubits
     return internal_weight / (1.0 + slack)
 
 
-def expand_community(
-    resource_graph: nx.Graph,
+def _expand(
+    adjacency: Adjacency,
+    available: Mapping[Hashable, int],
     community: Set[Hashable],
     required_qubits: int,
 ) -> Set[Hashable]:
-    """Grow a community by adjacent QPUs until it can hold ``required_qubits``."""
     selected = set(community)
-    while community_capacity(resource_graph, selected) < required_qubits:
+    capacity = _capacity(available, selected)
+    while capacity < required_qubits:
+        # Insertion order follows the iteration order of ``selected``; it
+        # breaks ties between equally attached neighbours below.
         frontier: Dict[Hashable, float] = {}
         for node in selected:
-            for neighbor, data in resource_graph[node].items():
+            for neighbor, data in adjacency[node].items():
                 if neighbor in selected:
                     continue
                 frontier[neighbor] = frontier.get(neighbor, 0.0) + float(
@@ -96,18 +172,27 @@ def expand_community(
         if not frontier:
             raise CommunityError(
                 f"cannot expand community to {required_qubits} qubits: "
-                f"only {community_capacity(resource_graph, selected)} reachable"
+                f"only {capacity} reachable"
             )
         # Prefer the neighbour with the strongest attachment, then most capacity.
-        best = max(
-            frontier,
-            key=lambda n: (
-                frontier[n],
-                resource_graph.nodes[n].get("available", 0),
-            ),
-        )
+        best = max(frontier, key=lambda n: (frontier[n], available[n]))
         selected.add(best)
+        capacity += available[best]
     return selected
+
+
+def expand_community(
+    resource_graph: nx.Graph,
+    community: Set[Hashable],
+    required_qubits: int,
+) -> Set[Hashable]:
+    """Grow a community by adjacent QPUs until it can hold ``required_qubits``."""
+    return _expand(
+        _adjacency(resource_graph),
+        _availability(resource_graph),
+        community,
+        required_qubits,
+    )
 
 
 def select_qpu_community(
@@ -132,7 +217,9 @@ def select_qpu_community(
     """
     if required_qubits <= 0:
         raise ValueError("required_qubits must be positive")
-    total_available = community_capacity(resource_graph, set(resource_graph.nodes()))
+    adjacency = _adjacency(resource_graph)
+    available = _availability(resource_graph)
+    total_available = _capacity(available, available)
     if total_available < required_qubits:
         raise CommunityError(
             f"cloud has only {total_available} free qubits, need {required_qubits}"
@@ -142,31 +229,26 @@ def select_qpu_community(
         communities = detect_communities(resource_graph, method=method, seed=seed)
     scored = sorted(
         communities,
-        key=lambda c: _community_score(resource_graph, c, required_qubits),
+        key=lambda c: _community_score(adjacency, available, c, required_qubits),
         reverse=True,
     )
     best: Optional[Set[Hashable]] = None
     for community in scored:
-        if community_capacity(resource_graph, community) >= required_qubits:
+        if _capacity(available, community) >= required_qubits:
             best = set(community)
             break
     if best is None:
         # No single community is big enough: expand the best-connected one.
-        seed_community = max(
-            communities,
-            key=lambda c: community_capacity(resource_graph, c),
-        )
-        best = expand_community(resource_graph, set(seed_community), required_qubits)
+        seed_community = max(communities, key=lambda c: _capacity(available, c))
+        best = _expand(adjacency, available, set(seed_community), required_qubits)
 
     # Guarantee a minimum number of usable QPUs for the requested partition count.
-    usable = [n for n in best if resource_graph.nodes[n].get("available", 0) > 0]
+    usable = [n for n in best if available[n] > 0]
     while len(usable) < min_qpus:
-        grown = expand_community(
-            resource_graph, best, community_capacity(resource_graph, best) + 1
-        )
+        grown = _expand(adjacency, available, best, _capacity(available, best) + 1)
         if grown == best:
             break
         best = grown
-        usable = [n for n in best if resource_graph.nodes[n].get("available", 0) > 0]
+        usable = [n for n in best if available[n] > 0]
 
     return sorted(best)

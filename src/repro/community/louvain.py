@@ -2,11 +2,14 @@
 
 A self-contained implementation of the two-phase Louvain heuristic: local
 moving of nodes between communities to greedily maximise modularity, followed
-by community aggregation, repeated until modularity stops improving.  The
-local-moving phase is the hot loop of CloudQC's placement-attempt pipeline
-(it runs for every community-detection cache miss), so it operates on flat
-CSR-style arrays; it is written to stay bit-identical to the reference
-dict-based formulation, RNG call sequence included.
+by community aggregation, repeated until modularity stops improving.  Both
+phases are the hot loop of CloudQC's placement-attempt pipeline (they run for
+every community-detection cache miss), so they work on Python lists indexed
+by node position -- numpy scalar indexing costs more than the arithmetic on
+resource graphs of 6-20 QPUs -- with one ``{neighbour: weight}`` dict per
+node.  Every row keeps the adjacency order a networkx graph built edge by
+edge would have, so weights accumulate and ties resolve exactly as in the
+networkx formulation, RNG call sequence included.
 """
 
 from __future__ import annotations
@@ -16,7 +19,10 @@ from typing import Dict, Hashable, List, Optional, Set
 import networkx as nx
 import numpy as np
 
-from .modularity import modularity, total_edge_weight
+from .modularity import modularity
+
+#: One adjacency row per node: ``{neighbour index: weight}`` in insertion order.
+Rows = List[Dict[int, float]]
 
 
 def louvain_communities(
@@ -33,125 +39,101 @@ def louvain_communities(
     if graph.number_of_nodes() == 0:
         return []
     rng = np.random.default_rng(seed)
-    # membership maps original node -> community label across aggregation
-    # levels.  Level 1's labels are the working graph's own node labels (the
-    # original nodes); later levels use the dense ids _aggregate mints.
-    # Initialising with enumeration indices instead only works when node
-    # labels happen to equal their iteration index -- it breaks (KeyError)
-    # on graphs with holes in the labelling, e.g. a resource graph after a
-    # QPU left the fleet.
-    membership: Dict[Hashable, int] = {node: node for node in graph.nodes()}
-    working = _normalise(graph)
+    nodes = list(graph)
+    rows = _normalise(graph, nodes)
+    # membership maps each original node's position to its community in the
+    # current level; aggregated levels are indexed by the dense community
+    # ids of the level below.
+    membership = list(range(len(nodes)))
 
     for _ in range(max_levels):
-        local = _local_moving(working, rng, resolution)
-        if len(set(local.values())) == working.number_of_nodes():
+        local = _local_moving(rows, rng, resolution)
+        count = max(local) + 1
+        if count == len(rows):
             break  # no merge happened at this level
-        membership = {
-            node: local[membership[node]] for node in membership
-        }
-        working = _aggregate(working, local)
-        if working.number_of_nodes() <= 1:
+        membership = [local[member] for member in membership]
+        rows = _aggregate(rows, local, count)
+        if count <= 1:
             break
 
     groups: Dict[int, Set[Hashable]] = {}
-    for node, community in membership.items():
+    for node, community in zip(nodes, membership):
         groups.setdefault(community, set()).add(node)
     return sorted(groups.values(), key=len, reverse=True)
 
 
-def _normalise(graph: nx.Graph) -> nx.Graph:
-    normalised = nx.Graph()
-    normalised.add_nodes_from(graph.nodes())
-    for a, b, data in graph.edges(data=True):
-        normalised.add_edge(a, b, weight=float(data.get("weight", 1.0)))
-    return normalised
+def _normalise(graph: nx.Graph, nodes: List[Hashable]) -> Rows:
+    """Rows of ``graph`` with ``float`` weights, added edge by edge.
+
+    Edges arrive in networkx edge order (each once, from the endpoint
+    iterated first), so the rows have the order a networkx graph rebuilt
+    from ``graph.edges()`` would have.
+    """
+    index = {node: i for i, node in enumerate(nodes)}
+    rows: Rows = [{} for _ in nodes]
+    for u, (_, adjacent) in enumerate(graph.adjacency()):
+        for other, data in adjacent.items():
+            v = index[other]
+            if v >= u:
+                weight = float(data.get("weight", 1.0))
+                rows[u][v] = weight
+                rows[v][u] = weight
+    return rows
 
 
 def _local_moving(
-    graph: nx.Graph, rng: np.random.Generator, resolution: float
-) -> Dict[Hashable, int]:
+    rows: Rows, rng: np.random.Generator, resolution: float
+) -> List[int]:
     """Phase 1: move nodes between communities while modularity improves.
 
-    The hot loop runs on flat CSR-style arrays (node -> index, concatenated
-    neighbor/weight arrays, degree and community-degree vectors) instead of
-    per-node networkx dict iteration.  It is engineered to be *bit-identical*
-    to the dict-based formulation it replaced: neighbor order matches the
-    adjacency insertion order, per-community weights accumulate in the same
-    order, the modularity-gain expressions keep the same operation order, and
-    the per-sweep shuffle consumes the RNG exactly as before (a length-n list
-    shuffle), so seeded community structure is unchanged.
+    Returns each node's community as a dense id (the surviving community
+    ids renumbered in increasing order).  The per-sweep shuffle consumes the RNG
+    as a length-n list shuffle, and the modularity-gain expressions keep
+    their operation order, so seeded community structure is reproducible.
     """
-    m = total_edge_weight(graph)
+    n = len(rows)
+    # detlint: ignore[DET003] rows hold networkx edge order, fixed by the deterministic graph build; re-sorting this float sum would change bits pinned by golden tests
+    m = sum(w for u, row in enumerate(rows) for v, w in row.items() if v >= u)
     if m == 0:
-        return {node: index for index, node in enumerate(graph.nodes())}
+        return list(range(n))
 
-    nodes = list(graph.nodes())
-    n = len(nodes)
-    index_of = {node: index for index, node in enumerate(nodes)}
-
-    # CSR adjacency in exactly the order graph[node].items() would yield it.
-    starts = np.empty(n + 1, dtype=np.int64)
-    neighbor_list: List[int] = []
-    weight_list: List[float] = []
-    starts[0] = 0
-    for u, node in enumerate(nodes):
-        for neighbor, data in graph[node].items():
-            neighbor_list.append(index_of[neighbor])
-            weight_list.append(float(data.get("weight", 1.0)))
-        starts[u + 1] = len(neighbor_list)
-    neighbors = np.asarray(neighbor_list, dtype=np.int64)
-    weights = np.asarray(weight_list, dtype=np.float64)
-
-    degrees = {node: float(value) for node, value in graph.degree(weight="weight")}
-    degree = np.array([degrees[node] for node in nodes], dtype=np.float64)
-    community = np.arange(n, dtype=np.int64)
-    community_degree = degree.copy()
-
-    # Scratch arrays for the per-node community-weight accumulation: ``stamp``
-    # marks which entries of ``comm_weight`` belong to the current node, so no
-    # O(n) clearing is needed between nodes.
-    comm_weight = np.zeros(n, dtype=np.float64)
-    stamp = np.full(n, -1, dtype=np.int64)
+    # Weighted degree as networkx computes it: the row sum, plus the
+    # self-loop weight once more.
+    degree = [
+        # detlint: ignore[DET003] rows hold networkx adjacency order, fixed by the deterministic graph build; re-sorting this float sum would change bits pinned by golden tests
+        float(sum(row.values()) + row.get(u, 0))
+        for u, row in enumerate(rows)
+    ]
+    community = list(range(n))
+    community_degree = list(degree)
     two_m = 2.0 * m
 
     improved = True
     iterations = 0
-    token = 0
     while improved and iterations < 50:
         improved = False
         iterations += 1
         order = list(range(n))
         rng.shuffle(order)
         for u in order:
-            token += 1
-            current = int(community[u])
+            current = community[u]
             deg_u = degree[u]
-            # Weight from node to each neighbouring community, preserving the
-            # first-seen community order of the dict-based version.
-            seen: List[int] = []
-            for pos in range(starts[u], starts[u + 1]):
-                v = neighbors[pos]
-                if v == u:
-                    continue
-                c = int(community[v])
-                if stamp[c] != token:
-                    stamp[c] = token
-                    comm_weight[c] = 0.0
-                    seen.append(c)
-                comm_weight[c] += weights[pos]
+            # Weight from node to each neighbouring community, in first-seen
+            # order.
+            links: Dict[int, float] = {}
+            for v, weight in rows[u].items():
+                if v != u:
+                    c = community[v]
+                    links[c] = links.get(c, 0.0) + weight
             # Remove node from its community.
             community_degree[current] -= deg_u
-            weight_to_current = comm_weight[current] if stamp[current] == token else 0.0
+            baseline = links.get(current, 0.0) - resolution * (
+                community_degree[current] * deg_u / two_m
+            )
             best_community = current
             best_gain = 0.0
-            for candidate in seen:
-                gain = comm_weight[candidate] - resolution * community_degree[
-                    candidate
-                ] * deg_u / two_m
-                baseline = weight_to_current - resolution * (
-                    community_degree[current] * deg_u / two_m
-                )
+            for candidate, weight in links.items():
+                gain = weight - resolution * community_degree[candidate] * deg_u / two_m
                 if gain - baseline > best_gain + 1e-12:
                     best_gain = gain - baseline
                     best_community = candidate
@@ -161,26 +143,30 @@ def _local_moving(
                 improved = True
     # Relabel community ids to be dense.
     # detlint: ignore[DET003] community ids are distinct ints; sorted() output is canonical regardless of set order
-    relabel = {c: i for i, c in enumerate(sorted(set(community.tolist())))}
-    return {node: relabel[int(community[u])] for u, node in enumerate(nodes)}
+    relabel = {c: i for i, c in enumerate(sorted(set(community)))}
+    return [relabel[c] for c in community]
 
 
-def _aggregate(graph: nx.Graph, community: Dict[Hashable, int]) -> nx.Graph:
+def _aggregate(rows: Rows, community: List[int], count: int) -> Rows:
     """Phase 2: collapse communities into super-nodes.
 
     Intra-community weight is preserved as a self-loop on the super-node, so
     the next level's modularity gains account for already-merged structure
-    (dropping it makes Louvain over-merge into one giant community).
+    (dropping it makes Louvain over-merge into one giant community).  Edges
+    are folded in networkx edge order, as adding them to a fresh graph one
+    by one would.
     """
-    aggregated = nx.Graph()
-    aggregated.add_nodes_from(set(community.values()))
-    for a, b, data in graph.edges(data=True):
-        ca, cb = community[a], community[b]
-        weight = float(data.get("weight", 1.0))
-        if aggregated.has_edge(ca, cb):
-            aggregated[ca][cb]["weight"] += weight
-        else:
-            aggregated.add_edge(ca, cb, weight=weight)
+    aggregated: Rows = [{} for _ in range(count)]
+    for u, row in enumerate(rows):
+        cu = community[u]
+        for v, weight in row.items():
+            if v < u:
+                continue
+            cv = community[v]
+            total = aggregated[cu].get(cv)
+            total = weight if total is None else total + weight
+            aggregated[cu][cv] = total
+            aggregated[cv][cu] = total
     return aggregated
 
 

@@ -284,7 +284,7 @@ class _EventDrivenBatch:
         "loop": "captured as the 'engine' key via EventLoop.snapshot_state",
         "faults": "fleet-event schedule is regenerated from the seeded spec on restore; already-applied events are reflected in 'cloud'",
         "incremental": "derived flag recomputed from the placement strategy in __init__",
-        "placement_context": "pure cache of BFS placements; cold recompute after restore returns bit-identical placements",
+        "placement_context": "memo of interaction graphs (networkx and CSR forms), partitions, quotients, detected communities, community/BFS QPU sets and topology centers, each a pure function of its key; a cold context after restore recomputes bit-identical placements",
         "min_pending_qubits": "monotone pruning hint recomputed as pending jobs are re-examined; only affects work skipped, not results",
         "preemption_enabled": "derived from the preemption policy type in __init__",
         "resume_work": "transient restore-time work list, always empty at checkpoint instants",

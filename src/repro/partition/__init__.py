@@ -8,6 +8,7 @@ from .metrics import (
     part_weights,
     parts_to_assignment,
 )
+from .csr import CSRGraph
 from .coarsen import CoarseningLevel, coarsen, contract, heavy_edge_matching
 from .refine import rebalance, refine
 from .kway import (
@@ -19,6 +20,7 @@ from .kway import (
 from .spectral import fiedler_bisection, spectral_partition
 
 __all__ = [
+    "CSRGraph",
     "CoarseningLevel",
     "PartitionError",
     "assignment_to_parts",

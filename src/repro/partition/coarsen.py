@@ -2,35 +2,58 @@
 
 The coarsening phase repeatedly contracts a maximal matching that prefers heavy
 edges, producing a hierarchy of smaller graphs whose partitions can be
-projected back to the original graph.  This is the same scheme METIS uses; the
-interaction graphs CloudQC partitions are small enough (tens to hundreds of
-qubits) that a straightforward Python implementation is fast.
+projected back to the original graph.  This is the same scheme METIS uses.
+Every level is a :class:`~repro.partition.csr.CSRGraph` whose rows keep the
+adjacency order a networkx graph built edge by edge would have, so the
+partitioner's kernels see the same order on every level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import networkx as nx
 import numpy as np
+
+from .csr import CSRGraph, as_csr
 
 
 @dataclass
 class CoarseningLevel:
     """One level of the multilevel hierarchy."""
 
-    graph: nx.Graph
-    #: fine node -> coarse node of the *next* (smaller) level.
-    projection: Dict[Hashable, Hashable]
+    graph: CSRGraph
+    #: fine node -> coarse node of this level's graph.
+    projection: Dict[Hashable, int]
 
 
-def _node_weight(graph: nx.Graph, node: Hashable) -> float:
-    return float(graph.nodes[node].get("weight", 1.0))
+def _match(graph: CSRGraph, rng: np.random.Generator) -> List[Tuple[int, int]]:
+    """Index pairs of the heavy-edge matching (see :func:`heavy_edge_matching`)."""
+    order = list(range(graph.number_of_nodes()))
+    rng.shuffle(order)
+    matched = [False] * len(order)
+    neighbors, weights = graph.neighbors, graph.weights
+    pairs: List[Tuple[int, int]] = []
+    for u in order:
+        if matched[u]:
+            continue
+        best = -1
+        best_weight = -1.0
+        for v, weight in zip(neighbors[u], weights[u]):
+            if matched[v] or v == u:
+                continue
+            if weight > best_weight:
+                best_weight = weight
+                best = v
+        if best >= 0:
+            matched[u] = matched[best] = True
+            pairs.append((u, best))
+    return pairs
 
 
 def heavy_edge_matching(
-    graph: nx.Graph, rng: np.random.Generator
+    graph: Union[nx.Graph, CSRGraph], rng: np.random.Generator
 ) -> List[Tuple[Hashable, Hashable]]:
     """Greedy maximal matching preferring the heaviest incident edge.
 
@@ -38,58 +61,64 @@ def heavy_edge_matching(
     levels); each unmatched node is matched with its heaviest unmatched
     neighbour.
     """
-    nodes = list(graph.nodes())
-    rng.shuffle(nodes)
-    matched: set = set()
-    matching: List[Tuple[Hashable, Hashable]] = []
-    for node in nodes:
-        if node in matched:
-            continue
-        best: Optional[Hashable] = None
-        best_weight = -1.0
-        for neighbor, data in graph[node].items():
-            if neighbor in matched or neighbor == node:
+    csr = as_csr(graph)
+    labels = csr.labels
+    return [(labels[a], labels[b]) for a, b in _match(csr, rng)]
+
+
+def _contract(graph: CSRGraph, pairs: List[Tuple[int, int]]) -> CoarseningLevel:
+    """Contract index pairs; coarse ids follow the pairs, then unmatched nodes."""
+    node_weights = graph.node_weights
+    coarse_of = [-1] * len(node_weights)
+    coarse_weights: List[float] = []
+    for a, b in pairs:
+        coarse_of[a] = coarse_of[b] = len(coarse_weights)
+        coarse_weights.append(node_weights[a] + node_weights[b])
+    for u, weight in enumerate(node_weights):
+        if coarse_of[u] < 0:
+            coarse_of[u] = len(coarse_weights)
+            coarse_weights.append(weight)
+    # Edges arrive in networkx edge order (row u, neighbours v >= u); a coarse
+    # edge is created by its first fine edge, in both endpoints' rows, and
+    # accumulates the later ones in arrival order.
+    rows: List[Dict[int, float]] = [{} for _ in coarse_weights]
+    for u, (row, row_weights) in enumerate(zip(graph.neighbors, graph.weights)):
+        cu = coarse_of[u]
+        coarse_row = rows[cu]
+        for v, weight in zip(row, row_weights):
+            if v < u:
                 continue
-            weight = float(data.get("weight", 1.0))
-            if weight > best_weight:
-                best_weight = weight
-                best = neighbor
-        if best is not None:
-            matched.add(node)
-            matched.add(best)
-            matching.append((node, best))
-    return matching
+            cv = coarse_of[v]
+            if cu == cv:
+                continue
+            total = coarse_row.get(cv)
+            total = weight if total is None else total + weight
+            coarse_row[cv] = total
+            rows[cv][cu] = total
+    coarse = CSRGraph(
+        range(len(coarse_weights)),
+        [list(row) for row in rows],
+        [list(row.values()) for row in rows],
+        coarse_weights,
+    )
+    labels = graph.labels
+    return CoarseningLevel(
+        graph=coarse,
+        projection={labels[u]: c for u, c in enumerate(coarse_of)},
+    )
 
 
-def contract(graph: nx.Graph, matching: List[Tuple[Hashable, Hashable]]) -> CoarseningLevel:
+def contract(
+    graph: Union[nx.Graph, CSRGraph], matching: List[Tuple[Hashable, Hashable]]
+) -> CoarseningLevel:
     """Contract each matched pair into one coarse node, merging weights."""
-    projection: Dict[Hashable, Hashable] = {}
-    coarse = nx.Graph()
-    next_id = 0
-    for a, b in matching:
-        coarse.add_node(next_id, weight=_node_weight(graph, a) + _node_weight(graph, b))
-        projection[a] = next_id
-        projection[b] = next_id
-        next_id += 1
-    for node in graph.nodes():
-        if node not in projection:
-            coarse.add_node(next_id, weight=_node_weight(graph, node))
-            projection[node] = next_id
-            next_id += 1
-    for a, b, data in graph.edges(data=True):
-        ca, cb = projection[a], projection[b]
-        if ca == cb:
-            continue
-        weight = float(data.get("weight", 1.0))
-        if coarse.has_edge(ca, cb):
-            coarse[ca][cb]["weight"] += weight
-        else:
-            coarse.add_edge(ca, cb, weight=weight)
-    return CoarseningLevel(graph=coarse, projection=projection)
+    csr = as_csr(graph)
+    index = csr.index
+    return _contract(csr, [(index[a], index[b]) for a, b in matching])
 
 
 def coarsen(
-    graph: nx.Graph,
+    graph: Union[nx.Graph, CSRGraph],
     target_size: int,
     seed: Optional[int] = None,
     max_levels: int = 30,
@@ -101,16 +130,18 @@ def coarsen(
     graph itself is not included.  Coarsening stops early when a level shrinks
     the graph by less than 10% (a sign of a star-like structure).
     """
-    rng = np.random.default_rng(seed)
     levels: List[CoarseningLevel] = []
-    current = graph
+    current = as_csr(graph)
+    if current.number_of_nodes() <= max(target_size, 2):
+        return levels  # already small: skip seeding a generator nobody draws from
+    rng = np.random.default_rng(seed)
     for _ in range(max_levels):
         if current.number_of_nodes() <= max(target_size, 2):
             break
-        matching = heavy_edge_matching(current, rng)
-        if not matching:
+        pairs = _match(current, rng)
+        if not pairs:
             break
-        level = contract(current, matching)
+        level = _contract(current, pairs)
         if level.graph.number_of_nodes() >= 0.9 * current.number_of_nodes():
             break
         levels.append(level)

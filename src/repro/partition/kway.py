@@ -9,118 +9,134 @@ implements the classic multilevel scheme:
    from spread-out seeds.
 3. *Uncoarsen*: project the partition back level by level, running greedy
    boundary refinement at every level.
+
+Every phase runs in the index space of a
+:class:`~repro.partition.csr.CSRGraph` (see that module for why).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import networkx as nx
-import numpy as np
 
-from .coarsen import CoarseningLevel, coarsen
+from .coarsen import coarsen
+from .csr import CSRGraph, as_csr
 from .metrics import edge_cut, part_weights
-from .refine import rebalance, refine
+from .refine import _rebalance, _refine
 
 
 class PartitionError(ValueError):
     """Raised when the requested partition is infeasible."""
 
 
-def _node_weight(graph: nx.Graph, node: Hashable) -> float:
-    return float(graph.nodes[node].get("weight", 1.0))
+def _spread_seeds(graph: CSRGraph, num_parts: int) -> List[int]:
+    """Pick ``num_parts`` seeds that are pairwise far apart (k-center greedy).
 
-
-def _total_weight(graph: nx.Graph) -> float:
-    return sum(_node_weight(graph, node) for node in graph.nodes())
-
-
-def _spread_seeds(
-    graph: nx.Graph, num_parts: int, rng: np.random.Generator
-) -> List[Hashable]:
-    """Pick ``num_parts`` seeds that are pairwise far apart (k-center greedy)."""
-    nodes = list(graph.nodes())
-    if len(nodes) <= num_parts:
-        return nodes
-    # Start from the highest-degree-weight node so dense regions get a seed.
-    def degree_weight(node: Hashable) -> float:
-        # detlint: ignore[DET003] adjacency order is fixed by the deterministic graph build; re-sorting this float sum would change bits pinned by golden tests
-        return sum(float(d.get("weight", 1.0)) for _, d in graph[node].items())
-
-    seeds = [max(nodes, key=degree_weight)]
-    lengths = nx.single_source_shortest_path_length(graph, seeds[0])
-    distance = {node: lengths.get(node, len(nodes)) for node in nodes}
-    while len(seeds) < num_parts:
-        candidate = max(nodes, key=lambda n: (distance[n], degree_weight(n)))
-        if candidate in seeds:
-            remaining = [n for n in nodes if n not in seeds]
-            candidate = rng.choice(remaining)
-        seeds.append(candidate)
-        lengths = nx.single_source_shortest_path_length(graph, candidate)
-        for node in nodes:
-            distance[node] = min(distance[node], lengths.get(node, len(nodes)))
+    Each next seed is the node farthest in hops from the seeds so far (ties
+    to the heavier weighted degree, then node order).  Seeds sit at distance
+    0 and every other node at 1 or more, so it is never a seed again.  The
+    result depends on the graph alone and is memoized on it.
+    """
+    seeds = graph.seeds.get(num_parts)
+    if seeds is not None:
+        return seeds
+    n = graph.number_of_nodes()
+    if n <= num_parts:
+        seeds = list(range(n))
+    else:
+        degrees = graph.degrees
+        # Start from the highest-degree-weight node so dense regions get a seed.
+        seeds = [max(range(n), key=degrees.__getitem__)]
+        distance = graph.hops(seeds[0])
+        while len(seeds) < num_parts:
+            candidate = max(range(n), key=lambda u: (distance[u], degrees[u]))
+            seeds.append(candidate)
+            distance = [
+                d if d <= hop else hop
+                for d, hop in zip(distance, graph.hops(candidate))
+            ]
+    graph.seeds[num_parts] = seeds
     return seeds
 
 
 def _initial_partition(
-    graph: nx.Graph,
-    num_parts: int,
-    max_part_weight: float,
-    rng: np.random.Generator,
-) -> Dict[Hashable, int]:
-    """Greedy region growing from spread-out seeds, respecting balance."""
-    assignment: Dict[Hashable, int] = {}
-    weights = {part: 0.0 for part in range(num_parts)}
-    seeds = _spread_seeds(graph, num_parts, rng)
-    frontiers: Dict[int, List[Hashable]] = {}
-    for part, seed in enumerate(seeds):
-        assignment[seed] = part
-        weights[part] += _node_weight(graph, seed)
-        frontiers[part] = [seed]
+    graph: CSRGraph, num_parts: int, max_part_weight: float
+) -> Tuple[List[int], List[int]]:
+    """Greedy region growing from spread-out seeds, respecting balance.
 
-    unassigned = set(graph.nodes()) - set(assignment)
+    Returns every node's part and the order nodes were assigned in (the key
+    order of the assignment :func:`partition_graph` returns).
+    """
+    labels = graph.labels
+    node_weights = graph.node_weights
+    neighbors, edge_weights = graph.neighbors, graph.weights
+    part = [-1] * len(labels)
+    order: List[int] = []
+    weights = [0.0] * num_parts
+    # Per grown part: connection weight of each unassigned neighbour of its
+    # region, kept up to date as members join.  A member adds its row when
+    # it joins, so an entry is created and summed in member order, then
+    # adjacency order -- the order a rescan of the region would use -- and
+    # is dropped once its node is assigned.
+    pending: Dict[int, Dict[int, float]] = {}
+
+    def join(u: int, p: int) -> None:
+        part[u] = p
+        order.append(u)
+        weights[p] += node_weights[u]
+        for candidates in pending.values():
+            candidates.pop(u, None)
+        candidates = pending.setdefault(p, {})
+        for v, weight in zip(neighbors[u], edge_weights[u]):
+            if part[v] < 0:
+                candidates[v] = candidates.get(v, 0.0) + weight
+
+    seeds = _spread_seeds(graph, num_parts)
+    for p, seed in enumerate(seeds):
+        join(seed, p)
+
+    # Kept as a set of labels: its iteration order breaks the leftover
+    # weight ties below, so it must not depend on the index renumbering.
+    unassigned = set(labels) - {labels[seed] for seed in seeds}
     progress = True
     while unassigned and progress:
         progress = False
         # Grow the lightest part first so parts stay balanced.
-        for part in sorted(weights, key=weights.get):
-            if part not in frontiers:
+        for p in sorted(range(num_parts), key=weights.__getitem__):
+            candidates = pending.get(p)
+            if candidates is None:
                 continue
-            candidates: Dict[Hashable, float] = {}
-            for node in frontiers[part]:
-                for neighbor, data in graph[node].items():
-                    if neighbor in unassigned:
-                        candidates[neighbor] = candidates.get(neighbor, 0.0) + float(
-                            data.get("weight", 1.0)
-                        )
             picked = None
-            for node in sorted(candidates, key=candidates.get, reverse=True):
-                if weights[part] + _node_weight(graph, node) <= max_part_weight:
-                    picked = node
+            for v in sorted(candidates, key=candidates.__getitem__, reverse=True):
+                if weights[p] + node_weights[v] <= max_part_weight:
+                    picked = v
                     break
             if picked is None:
                 continue
-            assignment[picked] = part
-            weights[part] += _node_weight(graph, picked)
-            frontiers[part].append(picked)
-            unassigned.discard(picked)
+            join(picked, p)
+            unassigned.discard(labels[picked])
             progress = True
 
     # Disconnected or capacity-stranded leftovers go to the lightest feasible part.
-    for node in sorted(unassigned, key=lambda n: -_node_weight(graph, n)):
-        feasible = sorted(
-            (w, p)
-            for p, w in weights.items()
-            if w + _node_weight(graph, node) <= max_part_weight
-        )
-        part = feasible[0][1] if feasible else min(weights, key=weights.get)
-        assignment[node] = part
-        weights[part] += _node_weight(graph, node)
-    return assignment
+    index = graph.index
+    for label in sorted(unassigned, key=lambda label: -node_weights[index[label]]):
+        u = index[label]
+        node_weight = node_weights[u]
+        feasible = [
+            (weight, p)
+            for p, weight in enumerate(weights)
+            if weight + node_weight <= max_part_weight
+        ]
+        p = min(feasible)[1] if feasible else min(range(num_parts), key=weights.__getitem__)
+        part[u] = p
+        order.append(u)
+        weights[p] += node_weight
+    return part, order
 
 
 def partition_graph(
-    graph: nx.Graph,
+    graph: Union[nx.Graph, CSRGraph],
     num_parts: int,
     imbalance: float = 0.05,
     seed: Optional[int] = None,
@@ -131,8 +147,10 @@ def partition_graph(
     Parameters
     ----------
     graph:
-        Weighted undirected graph; node weight attribute ``weight`` defaults
-        to 1, edge weight attribute ``weight`` defaults to 1.
+        Weighted undirected graph, networkx or its
+        :class:`~repro.partition.csr.CSRGraph` form; node weight attribute
+        ``weight`` defaults to 1, edge weight attribute ``weight`` defaults
+        to 1.
     num_parts:
         Number of parts (k).  ``k = 1`` returns the trivial partition.
     imbalance:
@@ -150,45 +168,41 @@ def partition_graph(
         raise PartitionError("num_parts must be at least 1")
     if imbalance < 0:
         raise PartitionError("imbalance factor cannot be negative")
-    nodes = list(graph.nodes())
-    if not nodes:
+    csr = as_csr(graph)
+    labels = csr.labels
+    if not labels:
         return {}
     if num_parts == 1:
-        return {node: 0 for node in nodes}
-    if num_parts > len(nodes):
+        return {label: 0 for label in labels}
+    if num_parts > len(labels):
         raise PartitionError(
-            f"cannot split {len(nodes)} nodes into {num_parts} non-empty parts"
+            f"cannot split {len(labels)} nodes into {num_parts} non-empty parts"
         )
 
-    rng = np.random.default_rng(seed)
-    total = _total_weight(graph)
-    max_node_weight = max(_node_weight(graph, node) for node in nodes)
-    max_part_weight = (1.0 + imbalance) * total / num_parts
+    node_weights = csr.node_weights
+    max_part_weight = (1.0 + imbalance) * sum(node_weights) / num_parts
     # A part must always be able to hold at least one node.
-    max_part_weight = max(max_part_weight, max_node_weight)
+    max_part_weight = max(max_part_weight, max(node_weights))
 
     # Coarsen, keeping the part-weight cap fixed (weights are preserved).
-    levels: List[CoarseningLevel] = coarsen(
-        graph, target_size=max(coarsen_target, 4 * num_parts), seed=seed
-    )
-    coarsest = levels[-1].graph if levels else graph
+    levels = coarsen(csr, target_size=max(coarsen_target, 4 * num_parts), seed=seed)
+    coarsest = levels[-1].graph if levels else csr
 
-    assignment = _initial_partition(coarsest, num_parts, max_part_weight, rng)
-    assignment = refine(
-        coarsest, assignment, num_parts, max_part_weight, seed=seed
-    )
+    part, order = _initial_partition(coarsest, num_parts, max_part_weight)
+    _refine(coarsest, part, num_parts, max_part_weight, seed=seed)
 
     # Uncoarsen: project through the hierarchy, refining at each level.
-    hierarchy = [graph] + [level.graph for level in levels]
+    hierarchy = [csr] + [level.graph for level in levels]
     for level_index in range(len(levels) - 1, -1, -1):
         finer = hierarchy[level_index]
         projection = levels[level_index].projection
-        assignment = {node: assignment[projection[node]] for node in finer.nodes()}
-        assignment = rebalance(finer, assignment, num_parts, max_part_weight)
-        assignment = refine(finer, assignment, num_parts, max_part_weight, seed=seed)
+        part = [part[projection[label]] for label in finer.labels]
+        order = range(len(part))
+        _rebalance(finer, part, order, num_parts, max_part_weight)
+        _refine(finer, part, num_parts, max_part_weight, seed=seed)
 
-    assignment = rebalance(graph, assignment, num_parts, max_part_weight)
-    return assignment
+    _rebalance(csr, part, order, num_parts, max_part_weight)
+    return {labels[u]: part[u] for u in order}
 
 
 def partition_cost(graph: nx.Graph, assignment: Dict[Hashable, int]) -> float:

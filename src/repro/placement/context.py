@@ -10,10 +10,13 @@ only change when a job is admitted or released.
 
 :class:`PlacementContext` memoizes both sides:
 
-* **circuit identity** keys the interaction graph and its networkx form, and
+* **circuit identity** keys the interaction graph and its networkx form,
+  stored together with the CSR form the partitioner runs on, and
   ``(circuit, num_parts, imbalance, seed)`` keys partition assignments and
   quotient graphs.  Circuits are treated as frozen while registered with a
-  context (the simulator never mutates a submitted circuit).
+  context (the simulator never mutates a submitted circuit).  The simulator
+  draws a fresh seed per attempt, so in simulator runs the seed-keyed
+  entries never hit; they serve repeated same-seed attempts only.
 * **cloud resource version** (:attr:`repro.cloud.QuantumCloud.resource_version`)
   keys community detection and QPU-set selection: equal versions imply an
   identical availability map, so the cached result is exactly what a fresh
@@ -35,10 +38,11 @@ from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from ..circuits import InteractionGraph, QuantumCircuit
+from ..circuits import InteractionGraph, QuantumCircuit, quotient_adjacency
 from ..cloud import QuantumCloud
 from ..community import detect_communities, graph_center, select_qpu_community
-from ..partition import partition_graph
+from ..partition import CSRGraph, partition_graph
+from .mapping import QuotientAdjacency
 
 
 class PlacementContext:
@@ -61,9 +65,10 @@ class PlacementContext:
         # Circuit-side caches, keyed by circuit identity.
         self._circuits: Dict[int, QuantumCircuit] = {}
         self._interactions: Dict[int, InteractionGraph] = {}
-        self._interaction_nx: Dict[int, nx.Graph] = {}
+        # The networkx form and the CSR form built from it share one entry.
+        self._interaction_nx: Dict[int, Tuple[nx.Graph, CSRGraph]] = {}
         self._partitions: Dict[Tuple[int, int, float, int], Dict[int, int]] = {}
-        self._quotients: Dict[Tuple[int, int, float, int], nx.Graph] = {}
+        self._quotients: Dict[Tuple[int, int, float, int], QuotientAdjacency] = {}
         # Cloud-side caches, keyed by (cloud identity, resource version, ...).
         self._clouds: Dict[int, QuantumCloud] = {}
         self._communities: Dict[Tuple[int, int, str, int], List[Set[Hashable]]] = {}
@@ -125,6 +130,17 @@ class PlacementContext:
 
     def interaction_nx(self, circuit: QuantumCircuit) -> nx.Graph:
         """The networkx form of the interaction graph (read-only, shared)."""
+        return self._interaction_forms(circuit)[0]
+
+    def interaction_csr(self, circuit: QuantumCircuit) -> CSRGraph:
+        """The CSR form of :meth:`interaction_nx`'s graph (read-only, shared).
+
+        Built once, in that graph's adjacency order, and stored in the same
+        entry, so a lookup counts as one interaction-graph lookup.
+        """
+        return self._interaction_forms(circuit)[1]
+
+    def _interaction_forms(self, circuit: QuantumCircuit) -> Tuple[nx.Graph, CSRGraph]:
         key = self._circuit_key(circuit)
         cached = self._interaction_nx.get(key)
         if cached is not None:
@@ -132,8 +148,9 @@ class PlacementContext:
             return cached
         self.misses += 1
         graph = self.interaction(circuit).to_networkx()
-        self._interaction_nx[key] = graph
-        return graph
+        forms = (graph, CSRGraph.from_networkx(graph))
+        self._interaction_nx[key] = forms
+        return forms
 
     def partition(
         self,
@@ -149,7 +166,7 @@ class PlacementContext:
         """
         if seed is None:
             return partition_graph(
-                self.interaction_nx(circuit), num_parts, imbalance=imbalance, seed=None
+                self.interaction_csr(circuit), num_parts, imbalance=imbalance, seed=None
             )
         key = (self._circuit_key(circuit), num_parts, float(imbalance), seed)
         cached = self._partitions.get(key)
@@ -158,7 +175,7 @@ class PlacementContext:
             return cached
         self.misses += 1
         assignment = partition_graph(
-            self.interaction_nx(circuit), num_parts, imbalance=imbalance, seed=seed
+            self.interaction_csr(circuit), num_parts, imbalance=imbalance, seed=seed
         )
         self._store(self._partitions, key, assignment)
         return assignment
@@ -170,25 +187,35 @@ class PlacementContext:
         num_parts: int,
         imbalance: float,
         seed: Optional[int],
-    ) -> nx.Graph:
-        """Quotient graph of a cached partition (same key as the partition).
+    ) -> QuotientAdjacency:
+        """Quotient adjacency of a cached partition (same key as the partition).
 
-        The cache is consulted only when ``assignment`` *is* the object cached
-        by :meth:`partition` under the same key -- an externally supplied or
+        ``{part: {other part: crossing two-qubit gates}}``, the input of
+        :func:`~repro.placement.map_partitions_to_qpus`.  The cache is
+        consulted only when ``assignment`` *is* the object cached by
+        :meth:`partition` under the same key -- an externally supplied or
         post-processed assignment always gets a fresh, uncached quotient, so
         the key can never alias a different partition's quotient.
         """
         key = (self._circuit_key(circuit), num_parts, float(imbalance), seed)
         if seed is None or self._partitions.get(key) is not assignment:
-            return self.interaction(circuit).quotient_graph(assignment)
+            return self._quotient(circuit, assignment)
         cached = self._quotients.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        quotient = self.interaction(circuit).quotient_graph(assignment)
+        quotient = self._quotient(circuit, assignment)
         self._store(self._quotients, key, quotient)
         return quotient
+
+    def _quotient(
+        self, circuit: QuantumCircuit, assignment: Dict[int, int]
+    ) -> QuotientAdjacency:
+        # The CSR rows follow the networkx copy's adjacency order, but a copy
+        # keeps the original's edge order (row u, neighbours v >= u), so this
+        # equals the interaction graph's own quotient_graph, row order included.
+        return quotient_adjacency(self.interaction_csr(circuit).edges(), assignment)
 
     # ------------------------------------------------------------------
     # Cloud-side memoization (invalidated by resource_version bumps)

@@ -15,11 +15,12 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Hashable,
-    Iterable,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
+    Union,
 )
 
 import networkx as nx
@@ -30,12 +31,27 @@ from ..community import graph_center
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .context import PlacementContext
 
+#: ``{part: {other part: crossing two-qubit gates}}``.
+QuotientAdjacency = Mapping[Hashable, Mapping[Hashable, float]]
+
 
 class MappingError(RuntimeError):
     """Raised when the parts cannot be fitted on the candidate QPUs."""
 
 
-def _part_order(quotient: nx.Graph, center_part: Hashable) -> List[Hashable]:
+def _weighted_adjacency(
+    quotient: Union[nx.Graph, QuotientAdjacency]
+) -> QuotientAdjacency:
+    """The quotient as ``{part: {other: weight}}``; mappings pass through."""
+    if not isinstance(quotient, nx.Graph):
+        return quotient
+    return {
+        part: {other: float(data.get("weight", 1.0)) for other, data in row.items()}
+        for part, row in quotient.adjacency()
+    }
+
+
+def _part_order(quotient: QuotientAdjacency, center_part: Hashable) -> List[Hashable]:
     """BFS order over the quotient graph from the centre, heaviest edges first."""
     order: List[Hashable] = []
     visited = {center_part}
@@ -43,24 +59,20 @@ def _part_order(quotient: nx.Graph, center_part: Hashable) -> List[Hashable]:
     while queue:
         part = queue.popleft()
         order.append(part)
-        neighbors = sorted(
-            quotient[part].items(),
-            key=lambda item: -float(item[1].get("weight", 1.0)),
-        )
-        for neighbor, _ in neighbors:
+        for neighbor, _ in sorted(quotient[part].items(), key=lambda item: -item[1]):
             if neighbor not in visited:
                 visited.add(neighbor)
                 queue.append(neighbor)
     # Parts disconnected from the centre (no cross edges) come last, largest first.
     # detlint: ignore[DET003] part labels are distinct ints; sorted() output is canonical regardless of set order
-    for part in sorted(set(quotient.nodes()) - visited):
+    for part in sorted(set(quotient) - visited):
         order.append(part)
     return order
 
 
 def map_partitions_to_qpus(
     part_sizes: Mapping[Hashable, int],
-    quotient: nx.Graph,
+    quotient: Union[nx.Graph, QuotientAdjacency],
     cloud: QuantumCloud,
     candidate_qpus: Sequence[int],
     allow_sharing: bool = True,
@@ -73,7 +85,9 @@ def map_partitions_to_qpus(
     part_sizes:
         Number of computing qubits each part needs.
     quotient:
-        Inter-part interaction graph (edge weight = crossing two-qubit gates).
+        Inter-part interaction graph (edge weight = crossing two-qubit gates),
+        as a networkx graph or as the ``{part: {other: weight}}`` adjacency
+        :meth:`PlacementContext.quotient` returns.
     cloud:
         The quantum cloud; availability is read live so multi-tenant placements
         account for qubits already held by other jobs.
@@ -92,31 +106,34 @@ def map_partitions_to_qpus(
     parts = list(part_sizes)
     if not parts:
         return {}
+    quotient = _weighted_adjacency(quotient)
+    qpu_ids = cloud.qpu_ids
     candidates = [q for q in candidate_qpus if q in cloud.qpus]
     if not candidates:
-        candidates = cloud.qpu_ids
+        candidates = qpu_ids
 
     available: Dict[int, int] = {
-        qpu_id: cloud.qpu(qpu_id).computing_available for qpu_id in cloud.qpu_ids
+        qpu_id: cloud.qpus[qpu_id].computing_available for qpu_id in qpu_ids
     }
 
     if context is not None:
         community_center = context.topology_center(cloud, candidates)
     else:
         community_center = graph_center(cloud.topology.graph, candidates)
-    if quotient.number_of_nodes() > 0 and quotient.number_of_edges() > 0:
+    if quotient and any(quotient.values()):
         center_part = graph_center(quotient)
     else:
         center_part = max(parts, key=lambda p: part_sizes[p])
 
-    order = _part_order(quotient, center_part) if quotient.number_of_nodes() else list(parts)
+    order = _part_order(quotient, center_part) if quotient else list(parts)
     # Parts not present in the quotient graph (fully local, no cross edges).
     for part in parts:
         if part not in order:
             order.append(part)
 
+    distances = cloud.topology.distance_table()
     mapping: Dict[Hashable, int] = {}
-    used: set = set()
+    used: Set[int] = set()
 
     for part in order:
         if part not in part_sizes:
@@ -127,7 +144,8 @@ def map_partitions_to_qpus(
             size,
             mapping,
             quotient,
-            cloud,
+            distances,
+            qpu_ids,
             candidates,
             available,
             used,
@@ -148,47 +166,41 @@ def _pick_qpu(
     part: Hashable,
     size: int,
     mapping: Mapping[Hashable, int],
-    quotient: nx.Graph,
-    cloud: QuantumCloud,
+    quotient: QuotientAdjacency,
+    distances: Mapping[int, Mapping[int, int]],
+    qpu_ids: Sequence[int],
     candidates: Sequence[int],
     available: Mapping[int, int],
-    used: Iterable[int],
+    used: Set[int],
     community_center: int,
     allow_sharing: bool,
 ) -> Optional[int]:
-    used = set(used)
-
-    def attraction(qpu_id: int) -> float:
-        """Weighted distance to the QPUs of already-mapped neighbouring parts."""
-        total = 0.0
-        if quotient.has_node(part):
-            for neighbor, data in quotient[part].items():
-                if neighbor in mapping:
-                    weight = float(data.get("weight", 1.0))
-                    total += weight * cloud.distance(qpu_id, mapping[neighbor])  # detlint: ignore[DET003] adjacency order is fixed by the deterministic graph build; reordering would change bits pinned by golden tests
-        return total
+    # Already-mapped neighbouring parts, in quotient adjacency order: the
+    # order the attraction sum below adds their terms in.
+    anchors = [
+        (float(weight), mapping[neighbor])
+        for neighbor, weight in quotient.get(part, {}).items()
+        if neighbor in mapping
+    ]
 
     def rank(qpu_id: int) -> tuple:
-        return (
-            attraction(qpu_id),
-            cloud.distance(qpu_id, community_center),
-            -available[qpu_id],
-            qpu_id,
-        )
+        row = distances[qpu_id]
+        # Weighted distance to the QPUs of already-mapped neighbouring parts.
+        attraction = 0.0
+        for weight, qpu in anchors:
+            attraction += weight * row[qpu]
+        return (attraction, row[community_center], -available[qpu_id], qpu_id)
 
-    pools: List[List[int]] = [
-        [q for q in candidates if q not in used and available[q] >= size],
-    ]
-    if allow_sharing:
-        pools.append([q for q in candidates if q in used and available[q] >= size])
-    pools.append([q for q in cloud.qpu_ids if q not in used and available[q] >= size])
-    if allow_sharing:
-        pools.append([q for q in cloud.qpu_ids if available[q] >= size])
-
-    for pool in pools:
-        if pool:
-            return min(pool, key=rank)
-    return None
+    # Free candidates first, then shared candidates, then the rest of the
+    # cloud (free, then shared).
+    pool = [q for q in candidates if q not in used and available[q] >= size]
+    if not pool and allow_sharing:
+        pool = [q for q in candidates if q in used and available[q] >= size]
+    if not pool:
+        pool = [q for q in qpu_ids if q not in used and available[q] >= size]
+    if not pool and allow_sharing:
+        pool = [q for q in qpu_ids if available[q] >= size]
+    return min(pool, key=rank) if pool else None
 
 
 def expand_parts_to_qubits(

@@ -26,7 +26,12 @@ def random_qpu_walk(
     required_qubits: int,
     rng: np.random.Generator,
 ) -> List[int]:
-    """Random-walk QPU selection: expand from a random start until capacity fits."""
+    """Random-walk QPU selection: expand from a random start until capacity fits.
+
+    The walk follows links of the static topology but only steps onto fleet
+    members: a failed or drained QPU keeps its links yet has no capacity
+    entry to select.
+    """
     available = cloud.available_computing()
     # detlint: ignore[DET003] integer availability; sum is order-insensitive
     if sum(available.values()) < required_qubits:
@@ -45,7 +50,7 @@ def random_qpu_walk(
             selected.append(qpu)
             capacity += available[qpu]
         for neighbor in cloud.topology.neighbors(qpu):
-            if neighbor not in visited:
+            if neighbor not in visited and neighbor in available:
                 visited.add(neighbor)
                 frontier.append(neighbor)
     if capacity < required_qubits:

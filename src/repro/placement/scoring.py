@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from ..circuits import CircuitDAG, QuantumCircuit
+from ..circuits import CircuitDAG, GateKind, QuantumCircuit
 from ..cloud import QuantumCloud
 from ..sim.latency import DEFAULT_LATENCY, LatencyModel
 
@@ -37,23 +37,34 @@ def estimate_execution_time(
         if epr_success_probability is None
         else epr_success_probability
     )
+    distances = cloud.topology.distance_table()
+    # Expected remote-gate latency per hop count (a pure function of it).
+    remote_latency: Dict[int, float] = {}
     ready: Dict[int, float] = {q: 0.0 for q in range(circuit.num_qubits)}
-    for gate in circuit.gates:
-        start = max(ready[q] for q in gate.qubits)
-        if gate.is_two_qubit:
-            qpu_a = mapping[gate.qubits[0]]
-            qpu_b = mapping[gate.qubits[1]]
+    for gate in circuit:
+        qubits = gate.qubits
+        if len(qubits) == 2:
+            start, other = ready[qubits[0]], ready[qubits[1]]
+            if other > start:  # max() of the two: the first on ties
+                start = other
+        else:
+            start = max(ready[q] for q in qubits)
+        if gate.kind is GateKind.TWO_QUBIT:
+            qpu_a = mapping[qubits[0]]
+            qpu_b = mapping[qubits[1]]
             if qpu_a == qpu_b:
                 duration = latency.two_qubit_gate
             else:
-                hops = max(cloud.distance(qpu_a, qpu_b), 1)
-                duration = latency.expected_remote_gate_latency(
-                    probability, parallel_attempts=1, hops=hops
-                )
+                hops = max(distances[qpu_a][qpu_b], 1)
+                duration = remote_latency.get(hops)
+                if duration is None:
+                    duration = remote_latency[hops] = latency.expected_remote_gate_latency(
+                        probability, parallel_attempts=1, hops=hops
+                    )
         else:
             duration = latency.gate_latency(gate)
         finish = start + duration
-        for q in gate.qubits:
+        for q in qubits:
             ready[q] = finish
     return max(ready.values(), default=0.0)
 
@@ -62,13 +73,13 @@ def communication_cost(
     circuit: QuantumCircuit, mapping: Mapping[int, int], cloud: QuantumCloud
 ) -> float:
     """Eq. 1 for a raw mapping (without building a Placement object)."""
+    distances = cloud.topology.distance_table()
     cost = 0.0
-    for gate in circuit.gates:
-        if not gate.is_two_qubit:
-            continue
-        qpu_a, qpu_b = mapping[gate.qubits[0]], mapping[gate.qubits[1]]
-        if qpu_a != qpu_b:
-            cost += cloud.distance(qpu_a, qpu_b)
+    for gate in circuit:
+        if gate.is_two_qubit:
+            qpu_a, qpu_b = mapping[gate.qubits[0]], mapping[gate.qubits[1]]
+            if qpu_a != qpu_b:
+                cost += distances[qpu_a][qpu_b]
     return cost
 
 

@@ -69,6 +69,18 @@ class TestDepth:
     def test_fig1_front_layer_depth(self, vqe_like_circuit):
         assert vqe_like_circuit.depth() == 5
 
+    def test_memoized_structure_follows_appends(self):
+        # depth() and num_two_qubit_gates are memoized; append must reset them.
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 1)
+        circuit.add("barrier", 0, 1, 2)
+        assert (circuit.depth(), circuit.depth(count_barriers=True)) == (1, 2)
+        assert circuit.num_two_qubit_gates == 1
+        circuit.cx(1, 2)
+        circuit.h(2)
+        assert (circuit.depth(), circuit.depth(count_barriers=True)) == (3, 4)
+        assert circuit.num_two_qubit_gates == 2
+
 
 class TestInteractions:
     def test_two_qubit_interactions_weights(self):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +47,7 @@ from repro.multitenant import (
     generate_fleet_events,
     iter_events,
 )
-from repro.placement import CloudQCPlacement
+from repro.placement import CloudQCPlacement, RandomPlacement, random_qpu_walk
 from repro.scheduling import (
     AverageScheduler,
     CloudQCScheduler,
@@ -513,6 +514,45 @@ class TestAutoscalerInSimulation:
         assert max(r.completion_time for r in scaled) < max(
             r.completion_time for r in static
         )
+
+
+class TestRandomPlacementAfterFleetShrinks:
+    """RandomPlacement walks links of the static topology; a QPU that failed
+    or drained keeps its links but has left the fleet, so the walk must step
+    around it (it used to raise KeyError from ``random_qpu_walk``)."""
+
+    @staticmethod
+    def grid_cloud():
+        return QuantumCloud(
+            CloudTopology.grid(3, 3),
+            computing_qubits_per_qpu=12,
+            communication_qubits_per_qpu=4,
+            epr_success_probability=0.3,
+        )
+
+    @pytest.mark.parametrize("event_cls", [QPUFail, QPUDrain])
+    def test_random_placement_runs_through_a_departure(self, event_cls):
+        job_module._job_counter = itertools.count()
+        simulator = MultiTenantSimulator(
+            self.grid_cloud(),
+            placement_algorithm=RandomPlacement(),
+            network_scheduler=CloudQCScheduler(),
+            batch_manager=fifo_batch_manager(),
+            fault_injector=FaultInjector(events=[event_cls(time=1.0, qpu_id=4)]),
+        )
+        circuits = [ising(34), ghz(24), ising(34), ghz(24), ghz(16), ising(34)]
+        arrivals = [0.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        results = simulator.run_stream(circuits, arrivals, seed=1)
+        assert len(results) == len(circuits)
+        assert all(r.completed for r in results)
+
+    def test_walk_never_selects_a_departed_qpu(self):
+        cloud = self.grid_cloud()
+        cloud.remove_qpu(4)  # the centre: every other QPU links to it or past it
+        for seed in range(30):
+            selected = random_qpu_walk(cloud, 60, np.random.default_rng(seed))
+            assert 4 not in selected
+            assert sum(cloud.qpu(q).computing_available for q in selected) >= 60
 
 
 # ----------------------------------------------------------------------
