@@ -9,9 +9,23 @@ interaction multiset, and a dependency DAG (via :mod:`repro.circuits.dag`).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from .gate import Gate, GateKind
+
+_T = TypeVar("_T")
 
 
 class QuantumCircuit:
@@ -28,10 +42,10 @@ class QuantumCircuit:
         self.num_qubits = int(num_qubits)
         self.name = name
         self._gates: List[Gate] = []
-        # Structural properties the batch-manager metric reads at every
-        # decision point, memoized until the next append.
-        self._two_qubit_count: Optional[int] = None
-        self._depths: Dict[bool, int] = {}
+        # Circuit-derived values (the gate tuple, depth, counts, and the
+        # per-latency-model tables of the scheduling and scoring layers),
+        # each computed on first use and all cleared by the next append.
+        self._memo: Dict[Hashable, Any] = {}
         if gates is not None:
             for gate in gates:
                 self.append(gate)
@@ -48,8 +62,20 @@ class QuantumCircuit:
                     f"{self.num_qubits} qubits"
                 )
         self._gates.append(gate)
-        self._two_qubit_count = None
-        self._depths.clear()
+        self._memo.clear()
+
+    def memo(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The circuit-derived value stored under ``key``, built on first use.
+
+        The value lives until the next :meth:`append`, so it must be a pure
+        function of the gate list (and of whatever ``key`` names, such as a
+        latency model); callers must not mutate it.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     def add(self, name: str, *qubits: int, params: Sequence[float] = ()) -> None:
         """Convenience wrapper: ``circuit.add("cx", 0, 1)``."""
@@ -114,7 +140,10 @@ class QuantumCircuit:
     # ------------------------------------------------------------------
     @property
     def gates(self) -> Tuple[Gate, ...]:
-        return tuple(self._gates)
+        gates = self._memo.get("gates")
+        if gates is None:
+            gates = self._memo["gates"] = tuple(self._gates)
+        return gates
 
     def __len__(self) -> int:
         return len(self._gates)
@@ -131,9 +160,10 @@ class QuantumCircuit:
 
     @property
     def num_two_qubit_gates(self) -> int:
-        if self._two_qubit_count is None:
-            self._two_qubit_count = sum(1 for g in self._gates if g.is_two_qubit)
-        return self._two_qubit_count
+        return self.memo(
+            "num_two_qubit_gates",
+            lambda: sum(1 for g in self._gates if g.is_two_qubit),
+        )
 
     @property
     def num_single_qubit_gates(self) -> int:
@@ -153,8 +183,8 @@ class QuantumCircuit:
     def depth(self, count_barriers: bool = False) -> int:
         """Circuit depth: the length of the longest qubit-dependency chain."""
         count_barriers = bool(count_barriers)
-        depth = self._depths.get(count_barriers)
-        if depth is None:
+
+        def longest_chain() -> int:
             frontier = [0] * self.num_qubits
             for gate in self._gates:
                 if gate.kind is GateKind.BARRIER and not count_barriers:
@@ -162,17 +192,30 @@ class QuantumCircuit:
                 level = 1 + max(frontier[q] for q in gate.qubits)
                 for q in gate.qubits:
                     frontier[q] = level
-            depth = self._depths[count_barriers] = max(frontier, default=0)
-        return depth
+            return max(frontier, default=0)
+
+        return self.memo(("depth", count_barriers), longest_chain)
 
     def two_qubit_interactions(self) -> Dict[Tuple[int, int], int]:
         """Multiset of qubit pairs connected by two-qubit gates (the D_ij matrix)."""
-        interactions: Dict[Tuple[int, int], int] = defaultdict(int)
-        for gate in self._gates:
-            if gate.is_two_qubit:
-                a, b = sorted(gate.qubits[:2])
-                interactions[(a, b)] += 1
-        return dict(interactions)
+        return dict(self.interaction_counts())
+
+    def interaction_counts(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+        """``((a, b), count)`` per qubit pair (``a < b``) of the two-qubit gates.
+
+        Pairs appear in order of first use; memoized until the next append.
+        A gate with more than two operands counts its first two.
+        """
+
+        def count() -> Tuple[Tuple[Tuple[int, int], int], ...]:
+            interactions: Dict[Tuple[int, int], int] = defaultdict(int)
+            for gate in self._gates:
+                if gate.is_two_qubit:
+                    a, b = sorted(gate.qubits[:2])
+                    interactions[(a, b)] += 1
+            return tuple(interactions.items())
+
+        return self.memo("interaction_counts", count)
 
     def active_qubits(self) -> Tuple[int, ...]:
         """Qubits touched by at least one gate, in increasing order."""
@@ -231,4 +274,4 @@ class QuantumCircuit:
         )
 
     def __hash__(self) -> int:
-        return hash((self.num_qubits, tuple(self._gates)))
+        return hash((self.num_qubits, self.gates))

@@ -39,7 +39,10 @@ class CloudTopology:
         if not nx.is_connected(graph):
             raise TopologyError("topology must be connected")
         self.graph = graph
+        # All-pairs hop distances and per-pair shortest paths, filled on
+        # first use: the wiring never changes after construction.
         self._distances: Optional[Dict[int, Dict[int, int]]] = None
+        self._paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -159,7 +162,14 @@ class CloudTopology:
             raise TopologyError(f"no path between QPU {a} and QPU {b}") from exc
 
     def shortest_path(self, a: int, b: int) -> List[int]:
-        return nx.shortest_path(self.graph, a, b)
+        return list(self._path(a, b))
+
+    def _path(self, a: int, b: int) -> Tuple[int, ...]:
+        """``nx.shortest_path(a, b)``, computed once per ordered QPU pair."""
+        path = self._paths.get((a, b))
+        if path is None:
+            path = self._paths[(a, b)] = tuple(nx.shortest_path(self.graph, a, b))
+        return path
 
     def distance_matrix(self) -> np.ndarray:
         """Dense ``C_ij`` matrix indexed by sorted QPU id order."""
@@ -220,11 +230,12 @@ class CloudTopology:
         Multi-hop paths need entanglement swapping at every intermediate node,
         so the end-to-end probability is the product of per-link probabilities
         (see :meth:`link_success_probability` for how per-QPU overrides fold
-        into each link).
+        into each link).  Only the path is cached; every link probability is
+        resolved on each call, so per-QPU overrides apply immediately.
         """
         if a == b:
             return 1.0
-        path = self.shortest_path(a, b)
+        path = self._path(a, b)
         probability = 1.0
         for u, v in zip(path, path[1:]):
             probability *= self.link_success_probability(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from ..circuits import CircuitDAG, GateKind, QuantumCircuit
+from ..circuits import QuantumCircuit
 from ..cloud import QuantumCloud
 from ..sim.latency import DEFAULT_LATENCY, LatencyModel
 
@@ -22,7 +22,6 @@ def estimate_execution_time(
     cloud: QuantumCloud,
     latency: LatencyModel = DEFAULT_LATENCY,
     epr_success_probability: Optional[float] = None,
-    dag: Optional[CircuitDAG] = None,
 ) -> float:
     """Estimated makespan of ``circuit`` under ``mapping`` (critical-path model).
 
@@ -40,33 +39,29 @@ def estimate_execution_time(
     distances = cloud.topology.distance_table()
     # Expected remote-gate latency per hop count (a pure function of it).
     remote_latency: Dict[int, float] = {}
-    ready: Dict[int, float] = {q: 0.0 for q in range(circuit.num_qubits)}
-    for gate in circuit:
-        qubits = gate.qubits
-        if len(qubits) == 2:
-            start, other = ready[qubits[0]], ready[qubits[1]]
-            if other > start:  # max() of the two: the first on ties
-                start = other
-        else:
-            start = max(ready[q] for q in qubits)
-        if gate.kind is GateKind.TWO_QUBIT:
+    ready = [0.0] * circuit.num_qubits
+    for qubits, two_qubit, duration in latency.gate_table(circuit):
+        if two_qubit:
             qpu_a = mapping[qubits[0]]
             qpu_b = mapping[qubits[1]]
-            if qpu_a == qpu_b:
-                duration = latency.two_qubit_gate
-            else:
+            if qpu_a != qpu_b:
                 hops = max(distances[qpu_a][qpu_b], 1)
                 duration = remote_latency.get(hops)
                 if duration is None:
                     duration = remote_latency[hops] = latency.expected_remote_gate_latency(
                         probability, parallel_attempts=1, hops=hops
                     )
+        if len(qubits) == 2:
+            a, b = qubits
+            start = ready[a]
+            if ready[b] > start:  # max() of the two: the first on ties
+                start = ready[b]
+            ready[a] = ready[b] = start + duration
         else:
-            duration = latency.gate_latency(gate)
-        finish = start + duration
-        for q in qubits:
-            ready[q] = finish
-    return max(ready.values(), default=0.0)
+            finish = max(ready[q] for q in qubits) + duration
+            for q in qubits:
+                ready[q] = finish
+    return max(ready, default=0.0)
 
 
 def communication_cost(
@@ -74,13 +69,14 @@ def communication_cost(
 ) -> float:
     """Eq. 1 for a raw mapping (without building a Placement object)."""
     distances = cloud.topology.distance_table()
-    cost = 0.0
-    for gate in circuit:
-        if gate.is_two_qubit:
-            qpu_a, qpu_b = mapping[gate.qubits[0]], mapping[gate.qubits[1]]
-            if qpu_a != qpu_b:
-                cost += distances[qpu_a][qpu_b]
-    return cost
+    cost = 0
+    for (a, b), count in circuit.interaction_counts():
+        qpu_a, qpu_b = mapping[a], mapping[b]
+        if qpu_a != qpu_b:
+            cost += count * distances[qpu_a][qpu_b]
+    # Integer hop counts add exactly in any order, so summing per qubit pair
+    # gives the same float as the per-gate sum of Eq. 1.
+    return float(cost)
 
 
 def placement_score(

@@ -8,12 +8,13 @@ dependency path between them that passes only through local gates).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Set, Tuple
 
 import networkx as nx
 
-from ..circuits import CircuitDAG, QuantumCircuit
+from ..circuits import QuantumCircuit
 
 
 @dataclass
@@ -37,61 +38,65 @@ class RemoteOperation:
 class RemoteDAG:
     """Dependency DAG over the remote operations of one placed circuit."""
 
-    def __init__(
-        self,
-        circuit: QuantumCircuit,
-        mapping: Mapping[int, int],
-        dag: Optional[CircuitDAG] = None,
-    ) -> None:
+    def __init__(self, circuit: QuantumCircuit, mapping: Mapping[int, int]) -> None:
         self.circuit = circuit
         self.mapping = dict(mapping)
         self.operations: Dict[int, RemoteOperation] = {}
-        self._build(dag or CircuitDAG(circuit))
+        self._build()
         self._assign_priorities()
 
-    def _build(self, dag: CircuitDAG) -> None:
-        remote_gate_indices: List[int] = []
-        for index, gate in enumerate(self.circuit.gates):
-            if not gate.is_two_qubit:
-                continue
-            qpu_a = self.mapping[gate.qubits[0]]
-            qpu_b = self.mapping[gate.qubits[1]]
-            if qpu_a != qpu_b:
-                remote_gate_indices.append(index)
+    def _build(self) -> None:
+        """One pass over the gates, which are already in topological order.
 
-        closure = dag.subgraph_closure(remote_gate_indices)
-        gate_to_node = {
-            gate_index: node_id
-            for node_id, gate_index in enumerate(remote_gate_indices)
-        }
-        for gate_index in remote_gate_indices:
-            node_id = gate_to_node[gate_index]
-            gate = self.circuit.gates[gate_index]
-            operation = RemoteOperation(
-                node_id=node_id,
-                gate_index=gate_index,
-                qubits=(gate.qubits[0], gate.qubits[1]),
-                qpus=(self.mapping[gate.qubits[0]], self.mapping[gate.qubits[1]]),
-            )
-            self.operations[node_id] = operation
-        for gate_index in remote_gate_indices:
-            node_id = gate_to_node[gate_index]
-            for predecessor_gate in closure[gate_index]:
-                predecessor_id = gate_to_node[predecessor_gate]
-                if predecessor_id == node_id:
-                    continue
-                self.operations[node_id].predecessors.add(predecessor_id)
-                self.operations[predecessor_id].successors.add(node_id)
+        ``reach[q]`` holds the remote operations visible at qubit ``q``'s
+        latest output through local gates only -- what
+        :meth:`~repro.circuits.CircuitDAG.subgraph_closure` computes on the
+        full gate DAG.  A remote gate depends on everything that reaches its
+        operands and then becomes the only thing reaching them.
+        """
+        mapping = self.mapping
+        operations = self.operations
+        nothing: FrozenSet[int] = frozenset()
+        reach: List[FrozenSet[int]] = [nothing] * self.circuit.num_qubits
+        for gate_index, gate in enumerate(self.circuit.gates):
+            qubits = gate.qubits
+            remote = False
+            if gate.is_two_qubit:
+                qpus = (mapping[qubits[0]], mapping[qubits[1]])
+                remote = qpus[0] != qpus[1]
+            elif len(qubits) == 1:
+                continue  # a local one-qubit gate passes its qubit's reach on
+            incoming = reach[qubits[0]]
+            for qubit in qubits[1:]:
+                other = reach[qubit]
+                if other is not incoming and other:
+                    incoming = incoming | other if incoming else other
+            if remote:
+                node_id = len(operations)
+                operations[node_id] = RemoteOperation(
+                    node_id=node_id,
+                    gate_index=gate_index,
+                    qubits=(qubits[0], qubits[1]),
+                    qpus=qpus,
+                    predecessors=set(incoming),
+                )
+                for predecessor_id in incoming:
+                    operations[predecessor_id].successors.add(node_id)
+                incoming = frozenset((node_id,))
+            for qubit in qubits:
+                reach[qubit] = incoming
 
     def _assign_priorities(self) -> None:
-        """Priority p_i = length (in edges) of the longest path to any leaf."""
-        for node_id in reversed(self.topological_order()):
-            operation = self.operations[node_id]
-            if not operation.successors:
-                operation.priority = 0
-            else:
+        """Priority p_i = length (in edges) of the longest path to any leaf.
+
+        Every edge runs from a lower to a higher node id (node ids follow
+        gate order), so reverse id order visits successors first.
+        """
+        operations = self.operations
+        for operation in reversed(operations.values()):
+            if operation.successors:
                 operation.priority = 1 + max(
-                    self.operations[s].priority for s in operation.successors
+                    operations[s].priority for s in operation.successors
                 )
 
     # ------------------------------------------------------------------
@@ -111,19 +116,17 @@ class RemoteDAG:
         return len(self.operations)
 
     def topological_order(self) -> List[int]:
+        """Kahn order: ready operations FIFO, seeded and unlocked in id order."""
         in_degree = {i: len(op.predecessors) for i, op in self.operations.items()}
-        ready = sorted(i for i, d in in_degree.items() if d == 0)
+        ready = deque(sorted(i for i, d in in_degree.items() if d == 0))
         order: List[int] = []
-        index = 0
-        ready_set = list(ready)
-        while ready_set:
-            current = ready_set.pop(0)
+        while ready:
+            current = ready.popleft()
             order.append(current)
             for successor in sorted(self.operations[current].successors):
                 in_degree[successor] -= 1
                 if in_degree[successor] == 0:
-                    ready_set.append(successor)
-            index += 1
+                    ready.append(successor)
         if len(order) != len(self.operations):
             raise RuntimeError("remote DAG contains a cycle")
         return order

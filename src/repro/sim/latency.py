@@ -20,8 +20,12 @@ two-qubit gate, and a measurement for the classical correction, so its
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
-from ..circuits import Gate, GateKind
+from ..circuits import Gate, GateKind, QuantumCircuit
+
+#: One row per gate: (operands, is two-qubit, latency when executed locally).
+GateRow = Tuple[Tuple[int, ...], bool, float]
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,20 @@ class LatencyModel:
         if kind is GateKind.BARRIER:
             return 0.0
         return self.single_qubit_gate
+
+    def gate_table(self, circuit: QuantumCircuit) -> Tuple[GateRow, ...]:
+        """``(operands, is_two_qubit, local latency)`` for every gate of ``circuit``.
+
+        Memoized on the circuit, so the local critical path and the
+        placement-scoring walk read plain tuples instead of gate objects.
+        """
+        return circuit.memo(
+            ("gate_table", self),
+            lambda: tuple(
+                (gate.qubits, gate.is_two_qubit, self.gate_latency(gate))
+                for gate in circuit.gates
+            ),
+        )
 
     def remote_gate_latency(self, epr_attempts: int = 1, hops: int = 1) -> float:
         """Latency of a remote two-qubit gate.

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.circuits import Gate, QuantumCircuit
+from repro.placement import estimate_execution_time
+from repro.placement.scoring import communication_cost
+from repro.sim import local_execution_time
 
 
 class TestConstruction:
@@ -69,17 +72,32 @@ class TestDepth:
     def test_fig1_front_layer_depth(self, vqe_like_circuit):
         assert vqe_like_circuit.depth() == 5
 
-    def test_memoized_structure_follows_appends(self):
-        # depth() and num_two_qubit_gates are memoized; append must reset them.
+    def test_memoized_structure_follows_appends(self, small_cloud):
+        # depth(), num_two_qubit_gates, the gate tuple, the local critical
+        # path, the interaction counts and the gate latency table are
+        # memoized; append must reset them all.
         circuit = QuantumCircuit(3)
         circuit.cx(0, 1)
         circuit.add("barrier", 0, 1, 2)
+        mapping = {0: 0, 1: 1, 2: 3}
+        gates = circuit.gates
+        assert circuit.gates is gates
         assert (circuit.depth(), circuit.depth(count_barriers=True)) == (1, 2)
         assert circuit.num_two_qubit_gates == 1
+        assert local_execution_time(circuit) == 1.0
+        assert communication_cost(circuit, mapping, small_cloud) == 1.0
+        # One hop at p = 0.5: (10 + 1 + 5) + one expected retry of 10.
+        assert estimate_execution_time(circuit, mapping, small_cloud) == 26.0
         circuit.cx(1, 2)
         circuit.h(2)
+        assert circuit.gates == gates + (Gate("cx", (1, 2)), Gate("h", (2,)))
         assert (circuit.depth(), circuit.depth(count_barriers=True)) == (3, 4)
         assert circuit.num_two_qubit_gates == 2
+        assert local_execution_time(circuit) == 2.0 + 0.1
+        assert communication_cost(circuit, mapping, small_cloud) == 1.0 + 2.0
+        # Two hops: (20 + 1 + 5) + one expected retry of 2 * 10, then the h.
+        expected = 26.0 + 46.0 + 0.1
+        assert estimate_execution_time(circuit, mapping, small_cloud) == expected
 
 
 class TestInteractions:

@@ -3,7 +3,8 @@
 import networkx as nx
 import pytest
 
-from repro.cloud import CloudTopology, TopologyError
+from repro.cloud import CloudTopology, QuantumCloud, TopologyError
+from repro.network import EPRModel
 
 
 class TestConstructors:
@@ -93,6 +94,37 @@ class TestLinkProbabilities:
         line = CloudTopology.line(4)
         assert line.path_success_probability(0, 3, default=0.5) == pytest.approx(0.125)
         assert line.path_success_probability(1, 1, default=0.5) == 1.0
+
+    def test_path_probability_resolves_overrides_live(self):
+        # The path is cached per QPU pair; link probabilities are not, so a
+        # per-QPU override (a calibration window) applies on the next call.
+        cloud = QuantumCloud(CloudTopology.grid(3, 3), epr_success_probability=0.3)
+        topology = cloud.topology
+        model = EPRModel(topology, 0.3, qpu_probability=cloud.qpu_epr_probability)
+
+        def along_shortest_path() -> float:
+            path = nx.shortest_path(topology.graph, 0, 2)
+            probability = 1.0
+            for u, v in zip(path, path[1:]):
+                probability *= topology.link_success_probability(
+                    u, v, 0.3, cloud.qpu_epr_probability
+                )
+            return probability
+
+        assert nx.shortest_path(topology.graph, 0, 2) == [0, 1, 2]
+        topology.shortest_path(0, 2).append(5)  # callers get their own list
+        assert topology.shortest_path(0, 2) == [0, 1, 2]
+        for middle, link in ((None, None), (0.1, None), (None, None), (0.1, 0.8)):
+            if link is not None:
+                topology.graph.edges[0, 1]["epr_success_probability"] = link
+            cloud.set_qpu_epr_probability(1, middle)
+            expected = along_shortest_path()
+            middle_link = min(0.3, middle or 0.3)
+            assert expected == (link or middle_link) * middle_link
+            assert topology.path_success_probability(
+                0, 2, 0.3, cloud.qpu_epr_probability
+            ) == expected
+            assert model.pair_success_probability(0, 2) == expected
 
     def test_neighbors_and_has_link(self):
         ring = CloudTopology.ring(4)
