@@ -25,6 +25,7 @@ from repro.multitenant import (
 from repro.placement import CloudQCBFSPlacement, CloudQCPlacement
 from repro.scheduling import CloudQCScheduler, RemoteDAG, apply_priorities, uniform_priorities
 from repro.sim import NetworkExecutor
+from repro.sim import executor as executor_module
 
 
 @pytest.mark.paper_artifact("ablation")
@@ -44,8 +45,13 @@ def test_ablation_community_detection_vs_bfs(benchmark):
 
 
 @pytest.mark.paper_artifact("ablation")
-def test_ablation_priority_vs_uniform_scheduling(benchmark):
-    """Longest-path priorities should not be slower than uniform priorities."""
+def test_ablation_priority_vs_uniform_scheduling(benchmark, monkeypatch):
+    """Longest-path priorities should not be slower than uniform priorities.
+
+    The uniform arm must really run uniform priorities: the two means differ,
+    which also pins that priorities set when the DAG is built reach the
+    allocator.
+    """
     cloud = default_cloud(seed=7)
     circuit = get_circuit("qft_n63")
     placement = CloudQCPlacement().place(circuit, cloud, seed=1)
@@ -61,19 +67,19 @@ def test_ablation_priority_vs_uniform_scheduling(benchmark):
 
     priority_mean = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # Re-run with priorities forced to zero by monkey-patching the DAG builder.
-    class UniformExecutor(NetworkExecutor):
-        def execute(self, jobs, seed=None):
-            for job in jobs:
-                dag = RemoteDAG(job.circuit, job.mapping)
-                apply_priorities(dag, uniform_priorities(dag))
-            return super().execute(jobs, seed=seed)
+    # Re-run with priorities forced to zero: the executor builds its DAGs
+    # through the RemoteDAG name in repro.sim.executor, so swap that for a
+    # subclass that applies uniform priorities after construction.
+    class UniformRemoteDAG(RemoteDAG):
+        def __init__(self, circuit, mapping):
+            super().__init__(circuit, mapping)
+            apply_priorities(self, uniform_priorities(self))
 
-    uniform_executor = UniformExecutor(cloud, CloudQCScheduler())
+    monkeypatch.setattr(executor_module, "RemoteDAG", UniformRemoteDAG)
     uniform_mean = float(
         np.mean(
             [
-                uniform_executor.execute_single(
+                executor.execute_single(
                     circuit, placement.mapping, seed=s
                 ).completion_time
                 for s in seeds
@@ -81,6 +87,7 @@ def test_ablation_priority_vs_uniform_scheduling(benchmark):
         )
     )
     print(f"\nAblation (priorities): longest-path={priority_mean:.0f} uniform={uniform_mean:.0f}")
+    assert priority_mean != uniform_mean
     assert priority_mean <= uniform_mean * 1.10
 
 

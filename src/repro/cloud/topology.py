@@ -39,10 +39,12 @@ class CloudTopology:
         if not nx.is_connected(graph):
             raise TopologyError("topology must be connected")
         self.graph = graph
-        # All-pairs hop distances and per-pair shortest paths, filled on
-        # first use: the wiring never changes after construction.
+        # All-pairs hop distances, per-pair shortest paths and their links
+        # (with each link's live attribute dict), filled on first use: the
+        # wiring never changes after construction.
         self._distances: Optional[Dict[int, Dict[int, int]]] = None
         self._paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._path_links: Dict[Tuple[int, int], Tuple[Tuple[int, int, dict], ...]] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -206,17 +208,7 @@ class CloudTopology:
         data = self.graph.get_edge_data(a, b)
         if data is None:
             raise TopologyError(f"no quantum link between QPU {a} and QPU {b}")
-        value = data.get("epr_success_probability")
-        if value is not None:
-            return float(value)
-        if node_probability is None:
-            return default
-        p_a = node_probability(a)
-        p_b = node_probability(b)
-        return min(
-            default if p_a is None else float(p_a),
-            default if p_b is None else float(p_b),
-        )
+        return _resolve_link_probability(data, a, b, default, node_probability)
 
     def path_success_probability(
         self,
@@ -230,16 +222,23 @@ class CloudTopology:
         Multi-hop paths need entanglement swapping at every intermediate node,
         so the end-to-end probability is the product of per-link probabilities
         (see :meth:`link_success_probability` for how per-QPU overrides fold
-        into each link).  Only the path is cached; every link probability is
-        resolved on each call, so per-QPU overrides apply immediately.
+        into each link).  Only the path and its links' attribute dicts are
+        cached; every link probability is resolved on each call, so per-QPU
+        overrides and link attributes apply immediately.
         """
         if a == b:
             return 1.0
-        path = self._path(a, b)
+        links = self._path_links.get((a, b))
+        if links is None:
+            path = self._path(a, b)
+            adjacency = self.graph.adj
+            links = self._path_links[(a, b)] = tuple(
+                (u, v, adjacency[u][v]) for u, v in zip(path, path[1:])
+            )
         probability = 1.0
-        for u, v in zip(path, path[1:]):
-            probability *= self.link_success_probability(
-                u, v, default, node_probability
+        for u, v, data in links:
+            probability *= _resolve_link_probability(
+                data, u, v, default, node_probability
             )
         return probability
 
@@ -251,3 +250,25 @@ class CloudTopology:
             f"CloudTopology(qpus={self.num_qpus}, links={self.num_links}, "
             f"diameter={self.diameter() if self.num_qpus > 1 else 0})"
         )
+
+
+def _resolve_link_probability(
+    data: dict,
+    a: int,
+    b: int,
+    default: float,
+    node_probability: Optional[Callable[[int], Optional[float]]],
+) -> float:
+    """One link's EPR probability from its attribute dict (see
+    :meth:`CloudTopology.link_success_probability` for the resolution order)."""
+    value = data.get("epr_success_probability")
+    if value is not None:
+        return float(value)
+    if node_probability is None:
+        return default
+    p_a = node_probability(a)
+    p_b = node_probability(b)
+    return min(
+        default if p_a is None else float(p_a),
+        default if p_b is None else float(p_b),
+    )

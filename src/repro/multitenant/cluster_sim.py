@@ -86,7 +86,7 @@ from ..placement import (
     PlacementAlgorithm,
     PlacementContext,
 )
-from ..scheduling import AllocationRequest, NetworkScheduler, RemoteDAG
+from ..scheduling import NetworkScheduler, RemoteDAG
 from ..sim import (
     DEFAULT_LATENCY,
     EventHandle,
@@ -95,6 +95,7 @@ from ..sim import (
     LatencyModel,
     SimulationError,
     local_execution_time,
+    run_epr_round,
 )
 from .admission import AdmissionPolicy, AdmitAll, JobOutcome
 from .batch_manager import BatchManager, priority_batch_manager
@@ -657,7 +658,11 @@ class _EventDrivenBatch:
             self._place(now)
         if self.round_end_time is not None:
             return  # a round is in flight; its end event continues the chain
-        runnable = [state for state in self.active.values() if state.ready]
+        runnable = [
+            (job_id, state.front)
+            for job_id, state in self.active.items()
+            if state.front.ready
+        ]
         if runnable:
             self._start_round(loop, runnable)
             return
@@ -1212,28 +1217,27 @@ class _EventDrivenBatch:
         ):
             self._ensure_autoscaler(now)
 
-    def _start_round(self, loop: EventLoop, runnable: Sequence[_ActiveJob]) -> None:
+    def _start_round(
+        self, loop: EventLoop, runnable: Sequence[Tuple[str, FrontLayer]]
+    ) -> None:
         """Allocate communication qubits, sample this round's EPR successes."""
-        requests = self._build_requests(runnable)
-        capacity = {
-            qpu_id: self.cloud.qpu(qpu_id).communication_capacity
-            for qpu_id in self.cloud.qpu_ids
-        }
-        allocation = self.simulator.network_scheduler.allocate(
-            requests, capacity, rng=self.rng
+        successes = run_epr_round(
+            runnable,
+            {
+                qpu_id: qpu.communication_capacity
+                for qpu_id, qpu in self.cloud.qpus.items()
+            },
+            self.simulator.network_scheduler,
+            self.epr_model,
+            self.rng,
         )
         round_end = loop.now + self.latency.epr_preparation
-        for request in requests:
-            granted = allocation.get(request.op_id, 0)
-            if granted <= 0:
-                continue
-            job_id, node_id = request.op_id
-            if self.epr_model.sample_round(
-                request.qpu_a, request.qpu_b, granted, self.rng
-            ):
-                state = self.active[job_id]
-                state.finish_operation(node_id, round_end + self.round_tail)
-                state.in_flight_ops += 1
+        finish = round_end + self.round_tail
+        active = self.active
+        for job_id, node_id in successes:
+            state = active[job_id]
+            state.finish_operation(node_id, finish)
+            state.in_flight_ops += 1
         self.round_end_time = round_end
         loop.schedule_at(round_end, self._on_round_end, label="epr-round")
 
@@ -1248,13 +1252,6 @@ class _EventDrivenBatch:
             )
         except (MappingError, CommunityError, PlacementError):
             return None
-
-    @staticmethod
-    def _build_requests(runnable: Sequence[_ActiveJob]) -> List[AllocationRequest]:
-        requests: List[AllocationRequest] = []
-        for state in runnable:
-            requests.extend(state.front.requests(state.job.job_id))
-        return requests
 
     def _record_result(
         self, result: TenantJobResult, time: Optional[float] = None

@@ -70,12 +70,16 @@ class EPRModel:
         parallel_attempts: int,
         rng: np.random.Generator,
     ) -> bool:
-        """Sample whether an allocation of ``parallel_attempts`` succeeds this round."""
+        """Sample whether an allocation of ``parallel_attempts`` succeeds this round.
+
+        Draws one ``rng.random()`` when ``parallel_attempts`` is positive and
+        compares it with :meth:`round_success_probability`, inlined: this
+        runs once per granted request per round.
+        """
         if parallel_attempts <= 0:
             return False
-        return bool(
-            rng.random() < self.round_success_probability(qpu_a, qpu_b, parallel_attempts)
-        )
+        p = self.pair_success_probability(qpu_a, qpu_b)
+        return rng.random() < 1.0 - (1.0 - p) ** parallel_attempts
 
     def hops(self, qpu_a: int, qpu_b: int) -> int:
         """Path length used for serial entanglement-swapping latency."""

@@ -16,6 +16,11 @@ import numpy as np
 from .allocation import AllocationRequest, charge, max_allocatable
 
 
+def _by_priority(request: AllocationRequest) -> Tuple[int, Tuple[str, int]]:
+    """Sort key: decreasing priority, ties by op id."""
+    return (-request.priority, request.op_id)
+
+
 class NetworkScheduler(abc.ABC):
     """Interface for communication-qubit allocation policies."""
 
@@ -60,30 +65,39 @@ class CloudQCScheduler(NetworkScheduler):
         capacity: Mapping[int, int],
         rng: Optional[np.random.Generator] = None,
     ) -> Dict[Tuple[str, int], int]:
+        # The Eq. 8 bookkeeping of max_allocatable/charge, inlined on local
+        # dicts: this runs once per EPR round.
         remaining = dict(capacity)
         allocation: Dict[Tuple[str, int], int] = {}
-        ordered = sorted(requests, key=lambda r: (-r.priority, r.op_id))
 
         # Base pass: one pair each, highest priority first.
-        for request in ordered:
-            if max_allocatable(request, remaining) >= 1:
+        grantees: List[AllocationRequest] = []
+        for request in sorted(requests, key=_by_priority):
+            a, b = request.qpu_a, request.qpu_b
+            free_a, free_b = remaining.get(a, 0), remaining.get(b, 0)
+            if free_a >= 1 and free_b >= 1:
+                remaining[a], remaining[b] = free_a - 1, free_b - 1
                 allocation[request.op_id] = 1
-                charge(request, 1, remaining)
+                grantees.append(request)
 
-        # Redundancy pass: hand out extra pairs by priority until exhausted.
-        progress = True
-        while progress:
-            progress = False
-            for request in ordered:
-                granted = allocation.get(request.op_id, 0)
-                if granted == 0:
+        # Redundancy pass: sweep the grantees by priority, one extra pair
+        # each per sweep, until capacity runs out.  Capacity only shrinks and
+        # grants only grow, so a grantee that is refused once, or has
+        # reached max_redundancy, is dropped from later sweeps.
+        cap = self.max_redundancy
+        while grantees:
+            kept: List[AllocationRequest] = []
+            for request in grantees:
+                granted = allocation[request.op_id]
+                if cap is not None and granted >= cap:
                     continue
-                if self.max_redundancy is not None and granted >= self.max_redundancy:
-                    continue
-                if max_allocatable(request, remaining) >= 1:
+                a, b = request.qpu_a, request.qpu_b
+                free_a, free_b = remaining[a], remaining[b]
+                if free_a >= 1 and free_b >= 1:
+                    remaining[a], remaining[b] = free_a - 1, free_b - 1
                     allocation[request.op_id] = granted + 1
-                    charge(request, 1, remaining)
-                    progress = True
+                    kept.append(request)
+            grantees = kept
         return allocation
 
 
@@ -105,7 +119,7 @@ class GreedyScheduler(NetworkScheduler):
     ) -> Dict[Tuple[str, int], int]:
         remaining = dict(capacity)
         allocation: Dict[Tuple[str, int], int] = {}
-        for request in sorted(requests, key=lambda r: (-r.priority, r.op_id)):
+        for request in sorted(requests, key=_by_priority):
             grant = max_allocatable(request, remaining)
             if grant >= 1:
                 allocation[request.op_id] = grant

@@ -2,7 +2,7 @@
 
 from .latency import DEFAULT_LATENCY, LatencyModel
 from .engine import EventHandle, EventLoop, RepeatingEventHandle, SimulationError
-from .front_layer import FrontLayer
+from .front_layer import FrontLayer, run_epr_round
 from .executor import (
     ExecutionError,
     JobExecutionResult,
@@ -26,4 +26,5 @@ __all__ = [
     "SimulationError",
     "local_execution_time",
     "mean_completion_time",
+    "run_epr_round",
 ]

@@ -19,7 +19,7 @@ on it are documented in ``docs/architecture.md``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -27,15 +27,21 @@ class SimulationError(RuntimeError):
     """Raised when the event loop is used inconsistently."""
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class _QueuedEvent:
+    """One scheduled callback.
+
+    The heap holds ``(time, tier, sequence, event)`` tuples; sequence numbers
+    are unique, so tuple comparison never reaches the event itself.
+    """
+
     time: float
     tier: int
     sequence: int
-    callback: Callable[["EventLoop"], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    executed: bool = field(compare=False, default=False)
+    callback: Callable[["EventLoop"], None]
+    label: str = ""
+    cancelled: bool = False
+    executed: bool = False
 
 
 class EventHandle:
@@ -97,16 +103,24 @@ class EventLoop:
     }
 
     def __init__(self) -> None:
-        self._queue: List[_QueuedEvent] = []
+        self._queue: List[Tuple[float, int, int, _QueuedEvent]] = []
         self._next_sequence = 0
         self._now = 0.0
         self._running = False
         self.processed_events = 0
 
-    def _next_seq(self) -> int:
+    def _push(
+        self,
+        time: float,
+        tier: int,
+        callback: Callable[["EventLoop"], None],
+        label: str,
+    ) -> EventHandle:
         sequence = self._next_sequence
-        self._next_sequence += 1
-        return sequence
+        self._next_sequence = sequence + 1
+        event = _QueuedEvent(time, tier, sequence, callback, label)
+        heapq.heappush(self._queue, (time, tier, sequence, event))
+        return EventHandle(event)
 
     @property
     def now(self) -> float:
@@ -131,15 +145,7 @@ class EventLoop:
         """
         if delay < 0:
             raise SimulationError("cannot schedule an event in the past")
-        event = _QueuedEvent(
-            time=self._now + delay,
-            tier=tier,
-            sequence=self._next_seq(),
-            callback=callback,
-            label=label,
-        )
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        return self._push(self._now + delay, tier, callback, label)
 
     def schedule_at(
         self,
@@ -160,15 +166,7 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )
-        event = _QueuedEvent(
-            time=time,
-            tier=tier,
-            sequence=self._next_seq(),
-            callback=callback,
-            label=label,
-        )
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        return self._push(time, tier, callback, label)
 
     def reschedule(self, handle: EventHandle, time: float) -> EventHandle:
         """Move a pending event to absolute ``time``, returning a fresh handle.
@@ -214,14 +212,16 @@ class EventLoop:
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` when empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)[3]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -266,7 +266,7 @@ class EventLoop:
 
     def pending(self) -> int:
         """Number of not-yet-cancelled pending events."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (checkpointing support)
@@ -282,17 +282,14 @@ class EventLoop:
         verbatim so heap ordering after a restore is bit-identical to the
         uninterrupted run.
         """
-        events = sorted(
-            (event for event in self._queue if not event.cancelled),
-            key=lambda event: (event.time, event.tier, event.sequence),
-        )
+        live = sorted(entry for entry in self._queue if not entry[3].cancelled)
         return {
             "now": self._now,
             "next_sequence": self._next_sequence,
             "processed_events": self.processed_events,
             "events": [
-                [event.time, event.tier, event.sequence, event.label]
-                for event in events
+                [time, tier, sequence, event.label]
+                for time, tier, sequence, event in live
             ],
         }
 
@@ -317,13 +314,9 @@ class EventLoop:
         handles: List[EventHandle] = []
         for time, tier, sequence, label in state["events"]:
             event = _QueuedEvent(
-                time=float(time),
-                tier=int(tier),
-                sequence=int(sequence),
-                callback=resolver(label),
-                label=label,
+                float(time), int(tier), int(sequence), resolver(label), label
             )
-            self._queue.append(event)
+            self._queue.append((event.time, event.tier, event.sequence, event))
             handles.append(EventHandle(event))
         heapq.heapify(self._queue)
         return handles

@@ -19,15 +19,15 @@ are done and its local critical path has elapsed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
 from ..circuits import QuantumCircuit
 from ..cloud import QuantumCloud
 from ..network import EPRModel
-from ..scheduling import AllocationRequest, NetworkScheduler, RemoteDAG
-from .front_layer import FrontLayer
+from ..scheduling import NetworkScheduler, RemoteDAG
+from .front_layer import FrontLayer, run_epr_round
 from .latency import DEFAULT_LATENCY, LatencyModel
 
 
@@ -143,7 +143,12 @@ class NetworkExecutor:
         jobs: Sequence[ScheduledJob],
         seed: Optional[int] = None,
     ) -> Dict[str, JobExecutionResult]:
-        """Run all ``jobs`` to completion and return per-job results."""
+        """Run all ``jobs`` to completion and return per-job results.
+
+        Raises :class:`ExecutionError` up front when a remote operation needs
+        a QPU without communication qubits (or outside the fleet): it could
+        never be granted a pair.
+        """
         rng = np.random.default_rng(seed)
         states = {
             job.job_id: _JobState(
@@ -153,6 +158,21 @@ class NetworkExecutor:
             )
             for job in jobs
         }
+        # Capacities are fixed for the whole call, so an operation on a QPU
+        # without communication qubits could never be granted a pair.
+        capacity = {
+            qpu_id: qpu.communication_capacity
+            for qpu_id, qpu in self.cloud.qpus.items()
+        }
+        for state in states.values():
+            for operation in state.remote_dag:
+                for qpu_id in operation.qpus:
+                    if capacity.get(qpu_id, 0) < 1:
+                        raise ExecutionError(
+                            f"job {state.job.job_id}: remote operation "
+                            f"{operation.node_id} needs QPU {qpu_id}, which has "
+                            "no communication qubits, so it can never run"
+                        )
         results: Dict[str, JobExecutionResult] = {}
 
         # Jobs without remote operations finish after their local critical path.
@@ -162,6 +182,7 @@ class NetworkExecutor:
                 results[state.job.job_id] = self._result(state, rounds=0)
 
         time = min((s.job.start_time for s in states.values()), default=0.0)
+        completion_tail = self.latency.two_qubit_gate + self.latency.measurement
         total_rounds = 0
 
         while any(not state.done for state in states.values()):
@@ -184,26 +205,17 @@ class NetworkExecutor:
                 time = min(upcoming)
                 continue
 
-            requests = self._build_requests(active)
-            capacity = {
-                qpu_id: self.cloud.qpu(qpu_id).communication_capacity
-                for qpu_id in self.cloud.qpu_ids
-            }
-            allocation = self.scheduler.allocate(requests, capacity, rng=rng)
-
+            successes = run_epr_round(
+                [(state.job.job_id, state.front) for state in active],
+                capacity,
+                self.scheduler,
+                self.epr_model,
+                rng,
+            )
             round_end = time + self.latency.epr_preparation
-            completion_tail = self.latency.two_qubit_gate + self.latency.measurement
-            for request in requests:
-                granted = allocation.get(request.op_id, 0)
-                if granted <= 0:
-                    continue
-                job_id, node_id = request.op_id
-                success = self.epr_model.sample_round(
-                    request.qpu_a, request.qpu_b, granted, rng
-                )
-                if success:
-                    finish = round_end + completion_tail
-                    states[job_id].finish_operation(node_id, finish)
+            finish = round_end + completion_tail
+            for job_id, node_id in successes:
+                states[job_id].finish_operation(node_id, finish)
 
             for state in active:
                 state.rounds += 1
@@ -235,12 +247,6 @@ class NetworkExecutor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _build_requests(self, active: Sequence[_JobState]) -> List[AllocationRequest]:
-        requests: List[AllocationRequest] = []
-        for state in active:
-            requests.extend(state.front.requests(state.job.job_id))
-        return requests
-
     def _result(self, state: _JobState, rounds: int) -> JobExecutionResult:
         start = state.job.start_time
         remote_finish = state.last_finish

@@ -1,4 +1,4 @@
-"""Shared front-layer tracking for remote-operation DAGs.
+"""Shared front-layer tracking and the EPR-round kernel for remote-operation DAGs.
 
 Both network simulators (the single-batch :class:`~repro.sim.NetworkExecutor`
 and the event-driven multi-tenant cluster simulator) execute a
@@ -7,22 +7,34 @@ and the event-driven multi-tenant cluster simulator) execute a
 competes for communication qubits, and a success unlocks its successors.
 This module holds that bookkeeping in one place, with an indexed ready set so
 finishing an operation is O(successors) instead of the O(front * log front)
-of a re-sorted ready list.  Where front-layer execution sits in the overall
-event-driven flow is documented in ``docs/architecture.md``.
+of a re-sorted ready list, and :func:`run_epr_round`, the one per-round
+network step both simulators call.  Where front-layer execution sits in the
+overall event-driven flow is documented in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from ..scheduling import AllocationRequest, RemoteDAG
+import numpy as np
+
+from ..network import EPRModel
+from ..scheduling import AllocationRequest, NetworkScheduler, RemoteDAG
 
 
 class FrontLayer:
     """Tracks the ready front of one job's remote DAG as operations finish."""
 
-    __slots__ = ("dag", "pending_predecessors", "ready", "completed", "last_finish")
+    __slots__ = (
+        "dag",
+        "pending_predecessors",
+        "ready",
+        "completed",
+        "last_finish",
+        "_table_job",
+        "_table",
+    )
 
     def __init__(self, dag: RemoteDAG, start_time: float = 0.0) -> None:
         self.dag = dag
@@ -35,14 +47,14 @@ class FrontLayer:
         }
         self.completed = 0
         self.last_finish = start_time
+        # Per-operation requests, built on the first requests() call: a
+        # placed job's op ids, endpoints and priorities never change.
+        self._table_job: Optional[str] = None
+        self._table: Dict[int, AllocationRequest] = {}
 
     @property
     def done(self) -> bool:
         return self.completed == self.dag.num_operations
-
-    def ready_nodes(self) -> List[int]:
-        """Front-layer node ids in deterministic (ascending) order."""
-        return sorted(self.ready)
 
     def snapshot(self) -> Dict[str, int]:
         """Progress counters of this front layer (for preemption bookkeeping).
@@ -97,16 +109,50 @@ class FrontLayer:
                 self.ready.add(successor)
 
     def requests(self, job_id: str) -> List[AllocationRequest]:
-        """Allocation requests for the current front layer, in node-id order."""
-        requests: List[AllocationRequest] = []
-        for node_id in self.ready_nodes():
-            operation = self.dag.operation(node_id)
-            requests.append(
-                AllocationRequest(
+        """Allocation requests for the current front layer, in node-id order.
+
+        Each operation's request is built once, from the DAG's priorities at
+        the first call, and looked up afterwards.
+        """
+        if self._table_job != job_id:
+            self._table = {
+                node_id: AllocationRequest(
                     op_id=(job_id, node_id),
                     qpu_a=operation.qpus[0],
                     qpu_b=operation.qpus[1],
                     priority=operation.priority,
                 )
-            )
-        return requests
+                for node_id, operation in self.dag.operations.items()
+            }
+            self._table_job = job_id
+        table = self._table
+        return [table[node_id] for node_id in sorted(self.ready)]
+
+
+def run_epr_round(
+    fronts: Iterable[Tuple[str, FrontLayer]],
+    capacity: Mapping[int, int],
+    scheduler: NetworkScheduler,
+    epr_model: EPRModel,
+    rng: np.random.Generator,
+) -> List[Tuple[str, int]]:
+    """One EPR round over the runnable front layers; returns the successes.
+
+    The order contract both simulators rely on for bit-identical replays:
+    ``fronts`` holds the runnable ``(job_id, front)`` pairs in runnable order,
+    each front contributes its requests in ascending node id, the scheduler
+    allocates once for the whole round, and every granted request is then
+    sampled in request order (one ``rng.random()`` each).  The op ids that
+    succeeded come back in that order; the caller finishes them.
+    """
+    requests: List[AllocationRequest] = []
+    for job_id, front in fronts:
+        requests += front.requests(job_id)
+    allocation = scheduler.allocate(requests, capacity, rng=rng)
+    sample = epr_model.sample_round
+    successes: List[Tuple[str, int]] = []
+    for request in requests:
+        granted = allocation.get(request.op_id, 0)
+        if granted > 0 and sample(request.qpu_a, request.qpu_b, granted, rng):
+            successes.append(request.op_id)
+    return successes

@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulation engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import EventLoop, SimulationError
 
@@ -316,3 +318,85 @@ class TestScheduleAtExactness:
         ))
         loop.run()
         assert order == ["upfront", "lazy"]
+
+
+#: Offsets and tiers drawn from tiny sets, so most events tie on time and
+#: many on tier too.
+OFFSETS = st.sampled_from((0.0, 1.0, 2.0))
+TIERS = st.sampled_from((-1, 0, 1))
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), OFFSETS, TIERS),
+        st.tuples(st.just("schedule_at"), OFFSETS, TIERS),
+        st.tuples(st.just("reschedule"), st.integers(0, 63), OFFSETS),
+        st.tuples(st.just("cancel"), st.integers(0, 63), st.none()),
+        st.tuples(st.just("step"), st.none(), st.none()),
+    ),
+    max_size=40,
+)
+
+
+class TestHeapOrder:
+    """Events run in ``(time, tier, sequence)`` order, also across a restore."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(operations=OPERATIONS)
+    def test_order_matches_sorted_live_events(self, operations):
+        loop = EventLoop()
+        ran = []
+        # label -> (time, tier, sequence, handle) of every live event; the
+        # model numbers sequences itself, one per schedule or reschedule.
+        live = {}
+        sequence = 0
+
+        def record(label):
+            return lambda env: ran.append(label)
+
+        def next_label():
+            return min(live, key=lambda label: live[label][:3])
+
+        for kind, a, b in operations:
+            if kind in ("schedule", "schedule_at"):
+                label = f"e{sequence}"
+                if kind == "schedule":
+                    handle = loop.schedule(a, record(label), label=label, tier=b)
+                else:
+                    handle = loop.schedule_at(
+                        loop.now + a, record(label), label=label, tier=b
+                    )
+                live[label] = (loop.now + a, b, sequence, handle)
+                sequence += 1
+            elif kind == "step":
+                expected = next_label() if live else None
+                assert loop.step() is (expected is not None)
+                if expected is not None:
+                    assert ran[-1] == expected
+                    del live[expected]
+            elif live:
+                label = sorted(live)[a % len(live)]
+                _, tier, _, handle = live.pop(label)
+                if kind == "cancel":
+                    handle.cancel()
+                else:
+                    moved = loop.reschedule(handle, loop.now + b)
+                    live[label] = (loop.now + b, tier, sequence, moved)
+                    sequence += 1
+
+        remaining = [
+            label for label in sorted(live, key=lambda label: live[label][:3])
+        ]
+        state = loop.snapshot_state()
+        assert [event[:3] for event in state["events"]] == [
+            list(live[label][:3]) for label in remaining
+        ]
+        restored, replayed = EventLoop(), []
+        restored.restore_state(
+            state, lambda label: lambda env: replayed.append(label)
+        )
+        done = len(ran)
+        loop.run()
+        restored.run()
+        assert ran[done:] == remaining
+        assert replayed == remaining
+        assert restored.now == loop.now
+

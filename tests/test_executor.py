@@ -3,10 +3,11 @@
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.cloud import CloudTopology, QuantumCloud
+from repro.cloud import QPU, CloudTopology, QuantumCloud
 from repro.scheduling import AverageScheduler, CloudQCScheduler, GreedyScheduler
 from repro.sim import (
     DEFAULT_LATENCY,
+    ExecutionError,
     NetworkExecutor,
     ScheduledJob,
     local_execution_time,
@@ -167,3 +168,33 @@ class TestMultiJobExecution:
         greedy_results = NetworkExecutor(cloud, GreedyScheduler()).execute(jobs, seed=1)
         # With a single pair per round the two jobs' six gates serialise.
         assert max(r.epr_rounds for r in greedy_results.values()) == 6
+
+
+class TestUnrunnableOperations:
+    """An operation whose QPU has no communication qubits can never be
+    granted a pair; execution must say so at once, not after max_rounds."""
+
+    @pytest.mark.parametrize(
+        "qpus",
+        [
+            {0: QPU(0, 4, 2), 1: QPU(1, 4, 0)},  # zero communication capacity
+            {0: QPU(0, 4, 2)},  # QPU 1 is a topology node outside the fleet
+        ],
+        ids=["zero-capacity", "off-fleet"],
+    )
+    def test_fails_fast_naming_job_op_and_qpu(self, qpus, remote_pair_circuit):
+        cloud = QuantumCloud(CloudTopology.line(2), qpus=qpus)
+        executor = NetworkExecutor(cloud, CloudQCScheduler())  # default max_rounds
+        with pytest.raises(
+            ExecutionError, match=r"job job-0: remote operation 0 needs QPU 1"
+        ):
+            executor.execute_single(remote_pair_circuit, {0: 0, 1: 1}, seed=1)
+
+    def test_local_jobs_still_run_beside_a_zero_capacity_qpu(self, bell_circuit):
+        cloud = QuantumCloud(
+            CloudTopology.line(2), qpus={0: QPU(0, 4, 2), 1: QPU(1, 4, 0)}
+        )
+        executor = NetworkExecutor(cloud, CloudQCScheduler())
+        result = executor.execute_single(bell_circuit, {0: 1, 1: 1}, seed=1)
+        assert result.epr_rounds == 0
+
