@@ -131,6 +131,13 @@ class Gate:
         for q in self.qubits:
             if q < 0:
                 raise ValueError(f"gate {self.name!r} has negative qubit index {q}")
+        # The placement walks rely on this: a one-operand gate is never of
+        # two-qubit kind, so they branch on the operand count first.
+        if self.name in TWO_QUBIT_GATES and len(self.qubits) != 2:
+            raise ValueError(
+                f"two-qubit gate {self.name!r} needs 2 qubit operands, "
+                f"got {len(self.qubits)}"
+            )
         # Classified once: scoring, the remote DAG and the latency model read
         # the kind of every gate on every placement attempt.  Not a field, so
         # equality, hashing and repr are unchanged.

@@ -100,7 +100,10 @@ def _parse_statement(
     operands = _parse_operands(operand_text, register_offsets)
     if not operands:
         raise QasmError(f"statement has no qubit operands: {statement!r}")
-    return Gate(name, tuple(operands), params)
+    try:
+        return Gate(name, tuple(operands), params)
+    except ValueError as exc:
+        raise QasmError(f"{exc} in statement {statement!r}") from exc
 
 
 def _parse_operands(text: str, register_offsets: Dict[str, int]) -> List[int]:

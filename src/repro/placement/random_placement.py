@@ -38,7 +38,8 @@ def random_qpu_walk(
         raise MappingError(  # detlint: ignore[DET003] integer availability; sum is order-insensitive
             f"cloud has {sum(available.values())} free qubits, need {required_qubits}"
         )
-    start = int(rng.choice(cloud.qpu_ids))
+    qpu_ids = cloud.qpu_ids
+    start = qpu_ids[int(rng.integers(len(qpu_ids)))]
     selected: List[int] = []
     capacity = 0
     visited = {start}
@@ -55,7 +56,7 @@ def random_qpu_walk(
                 frontier.append(neighbor)
     if capacity < required_qubits:
         # Disconnected availability: top up with random remaining QPUs.
-        remaining = [q for q in cloud.qpu_ids if q not in selected and available[q] > 0]
+        remaining = [q for q in qpu_ids if q not in selected and available[q] > 0]
         rng.shuffle(remaining)
         for qpu in remaining:
             selected.append(qpu)
@@ -71,9 +72,18 @@ def random_mapping(
     rng: np.random.Generator,
     qpu_set: Optional[List[int]] = None,
 ) -> Dict[int, int]:
-    """Scatter the circuit's qubits uniformly over ``qpu_set`` within capacity."""
+    """Scatter the circuit's qubits uniformly over ``qpu_set`` within capacity.
+
+    Raises :class:`MappingError` when ``qpu_set`` names a QPU outside the
+    cloud's fleet (before any draw) or runs out of free qubits.
+    """
     if qpu_set is None:
         qpu_set = random_qpu_walk(cloud, circuit.num_qubits, rng)
+    else:
+        qpu_set = [int(qpu) for qpu in qpu_set]
+        outside = [qpu for qpu in qpu_set if qpu not in cloud.qpus]
+        if outside:
+            raise MappingError(f"QPUs {outside} are not in the cloud's fleet")
     slack = {qpu: cloud.qpu(qpu).computing_available for qpu in qpu_set}
     qubits = list(range(circuit.num_qubits))
     rng.shuffle(qubits)
@@ -82,7 +92,7 @@ def random_mapping(
         options = [qpu for qpu in qpu_set if slack[qpu] > 0]
         if not options:
             raise MappingError("selected QPU set ran out of capacity")
-        choice = int(rng.choice(options))
+        choice = options[int(rng.integers(len(options)))]
         mapping[qubit] = choice
         slack[choice] -= 1
     return mapping

@@ -41,6 +41,9 @@ def estimate_execution_time(
     remote_latency: Dict[int, float] = {}
     ready = [0.0] * circuit.num_qubits
     for qubits, two_qubit, duration in latency.gate_table(circuit):
+        if len(qubits) == 1:  # never of two-qubit kind (checked by Gate)
+            ready[qubits[0]] += duration
+            continue
         if two_qubit:
             qpu_a = mapping[qubits[0]]
             qpu_b = mapping[qubits[1]]

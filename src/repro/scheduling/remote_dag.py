@@ -60,12 +60,12 @@ class RemoteDAG:
         reach: List[FrozenSet[int]] = [nothing] * self.circuit.num_qubits
         for gate_index, gate in enumerate(self.circuit.gates):
             qubits = gate.qubits
+            if len(qubits) == 1:
+                continue  # a one-operand gate is local and passes its reach on
             remote = False
             if gate.is_two_qubit:
                 qpus = (mapping[qubits[0]], mapping[qubits[1]])
                 remote = qpus[0] != qpus[1]
-            elif len(qubits) == 1:
-                continue  # a local one-qubit gate passes its qubit's reach on
             incoming = reach[qubits[0]]
             for qubit in qubits[1:]:
                 other = reach[qubit]

@@ -13,6 +13,8 @@ from repro.placement import (
     random_qpu_walk,
     validate_placement,
 )
+from repro.cloud import CloudTopology, QuantumCloud
+from repro.placement.mapping import MappingError
 import numpy as np
 
 
@@ -36,6 +38,14 @@ class TestRandomPlacement:
             usage[qpu] = usage.get(qpu, 0) + 1
         for qpu, used in usage.items():
             assert used <= small_cloud.qpu(qpu).computing_available
+
+    def test_random_mapping_rejects_qpus_outside_the_fleet(self, chain_circuit):
+        cloud = QuantumCloud(CloudTopology.line(3), computing_qubits_per_qpu=4)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(MappingError, match=r"QPUs \[7\] are not in"):
+            random_mapping(chain_circuit, cloud, rng, qpu_set=[0, 7, 1])
+        assert rng.bit_generator.state == state  # raised before any draw
 
     def test_seeded_runs_reproducible(self, default_cloud):
         circuit = ghz(40)

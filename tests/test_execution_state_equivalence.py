@@ -5,10 +5,14 @@ the memoized, one-pass versions replaced: the remote DAG built from the full
 :class:`~repro.circuits.CircuitDAG` through ``subgraph_closure`` with
 Kahn-order priorities, and the per-gate walks of ``estimate_execution_time``,
 ``communication_cost`` and ``local_execution_time``.  Hypothesis drives both
-over random circuits (one-qubit gates, ``cx``, measurements, barriers over
-2..n qubits and unknown-name three-operand gates, which ``classify_gate``
-makes two-qubit) mapped onto 1-5 QPUs, and asserts equal results: every
-``RemoteOperation`` field in node order, and every float with ``==``.
+over random circuits mapped onto 1-5 QPUs, and asserts equal results: every
+``RemoteOperation`` field in node order, and every float with ``==``.  The
+circuits mix one-qubit gates (named and unknown-name), ``cx``, measurements,
+barriers over 2..n qubits, unknown-name three-operand gates (which
+``classify_gate`` makes two-qubit), and ``h`` and ``measure`` over two
+operands.  The last two are not two-qubit gates yet have two operands, so a
+walk that branched on the gate kind instead of the operand count would
+diverge on them.
 """
 
 from __future__ import annotations
@@ -177,17 +181,27 @@ OperationFields = Tuple[
 @st.composite
 def circuits(draw, max_qubits: int = 9, max_gates: int = 60) -> QuantumCircuit:
     num_qubits = draw(st.integers(2, max_qubits))
-    kinds = ["one", "cx", "measure", "barrier"] + (["three"] if num_qubits >= 3 else [])
+    kinds = ["one", "unknown-one", "cx", "measure", "barrier", "wide-h", "wide-measure"]
+    if num_qubits >= 3:
+        kinds.append("three")
     circuit = QuantumCircuit(num_qubits, name="hypothesis")
     for _ in range(draw(st.integers(0, max_gates))):
         kind = draw(st.sampled_from(kinds))
-        if kind in ("one", "measure"):
-            name = "measure" if kind == "measure" else draw(st.sampled_from("hxt"))
+        if kind in ("one", "unknown-one", "measure"):
+            name = {"measure": "measure", "unknown-one": "myone"}.get(kind)
+            name = name or draw(st.sampled_from("hxt"))
             circuit.add(name, draw(st.integers(0, num_qubits - 1)))
             continue
-        width = {"cx": 2, "three": 3}.get(kind) or draw(st.integers(2, num_qubits))
+        width = {"cx": 2, "three": 3, "wide-h": 2, "wide-measure": 2}.get(kind)
+        width = width or draw(st.integers(2, num_qubits))
         qubits = draw(st.permutations(range(num_qubits)))[:width]
-        name = {"cx": "cx", "three": "mygate", "barrier": "barrier"}[kind]
+        name = {
+            "cx": "cx",
+            "three": "mygate",
+            "barrier": "barrier",
+            "wide-h": "h",  # a named one-qubit gate: SINGLE_QUBIT over two operands
+            "wide-measure": "measure",
+        }[kind]
         circuit.append(Gate(name, tuple(qubits)))
     return circuit
 

@@ -42,6 +42,14 @@ class TestGateConstruction:
         with pytest.raises(ValueError):
             Gate("h", (-1,))
 
+    def test_one_operand_two_qubit_gate_rejected(self):
+        with pytest.raises(ValueError, match=r"'cx' needs 2 qubit operands, got 1"):
+            Gate("cx", (0,))
+
+    def test_three_operand_two_qubit_gate_rejected(self):
+        with pytest.raises(ValueError, match=r"'cz' needs 2 qubit operands, got 3"):
+            Gate("cz", (0, 1, 2))
+
     def test_gate_is_hashable_and_equal(self):
         assert Gate("cx", (0, 1)) == Gate("cx", (0, 1))
         assert hash(Gate("cx", (0, 1))) == hash(Gate("cx", (0, 1)))

@@ -56,6 +56,10 @@ class TestParsing:
         with pytest.raises(QasmError):
             parse_qasm("qreg q[1]; rz(import) q[0];")
 
+    def test_two_qubit_gate_with_one_operand_raises(self):
+        with pytest.raises(QasmError, match=r"2 qubit operands, got 1.*'cx q\[0\]'"):
+            parse_qasm("qreg q[2]; cx q[0];")
+
 
 class TestRoundTrip:
     def test_round_trip_preserves_structure(self, vqe_like_circuit):
