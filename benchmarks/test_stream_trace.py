@@ -8,18 +8,20 @@ are minted lazily by a pending-arrival cursor -- one record decoded, one Job
 alive per arrival instant -- so nothing in the replay path scales with the
 trace length; only the in-flight population matters.
 
-The contrast with BENCH_6 is the point: the upfront submission path peaks
-at ~0.8 KiB/job (a ~81 MiB transient at 100k jobs) because every Job and
-arrival event is materialized before the clock starts, while the lazy path
-peaks near 1 MiB at *any* scale.  The report therefore measures
+In-memory workloads (``run_stream(circuits, arrival_times)``) enter through
+the same cursor: the simulator reserves their job ids and stable-sorts the
+arrivals, but builds no Job, event or closure per job before the clock
+starts.  (BENCH_6 measured ~0.8 KiB/job -- an ~81 MiB transient at 100k
+jobs -- when in-memory circuits were still submitted up front.)  The report
+therefore measures
 
 * the lazy bounded leg at a 100k-job baseline scale and at the full
   million-job scale, asserting the peak ratio stays near 1 despite the 10x
-  job count and that both peaks fit a budget far below the upfront
-  transient;
-* an upfront bounded leg at the baseline scale (the BENCH_6 configuration)
-  whose telemetry summary must equal the lazy leg's bit for bit --
-  streaming equivalence at scale, not just in the tier-1 suite;
+  job count and that both peaks fit a fixed budget;
+* an in-memory bounded leg at the baseline scale (the BENCH_6
+  configuration) whose telemetry summary must equal the lazy leg's bit for
+  bit -- streaming equivalence at scale, not just in the tier-1 suite --
+  and whose peak may exceed the lazy leg's by only a small amount per job;
 * replay throughput (jobs/sec under tracemalloc) for both lazy legs.
 
 ``scripts/bench_report.py --bench 7`` reuses these builders at acceptance
@@ -52,8 +54,8 @@ from repro.placement import RandomPlacement
 from repro.scheduling import CloudQCScheduler
 
 # Share the BENCH_6 workload builders (same trace generator parameters,
-# cloud, and policies) so the lazy-vs-upfront memory contrast is measured
-# on an identical replay.  bench_report.py loads benchmark modules by file
+# cloud, and policies) so the lazy and in-memory legs replay an identical
+# workload.  bench_report.py loads benchmark modules by file
 # path, so make the sibling importable there too, not just under pytest.
 _BENCH_DIR = str(Path(__file__).resolve().parent)
 if _BENCH_DIR not in sys.path:
@@ -77,9 +79,13 @@ TEST_BASELINE_JOBS = 2_000
 #: Peak-tracemalloc budget for the lazy bounded legs.  The measured lazy
 #: peak is ~1 MiB at every scale tried (it tracks the in-flight population,
 #: not the trace length); 32 MiB leaves generous allocator headroom while
-#: still sitting far below the ~81 MiB upfront transient BENCH_6 pins at
-#: a tenth of the job count.
+#: still sitting far below the ~81 MiB transient that upfront submission
+#: cost at a tenth of the job count (BENCH_6).
 MEMORY_BUDGET_MB = 32.0
+#: How far the in-memory leg's peak may exceed the lazy leg's, per job.  Its
+#: per-job inputs are a list of arrival times and the stable-sort order
+#: (~0.05 KiB/job); upfront submission cost ~0.63 KiB/job at 2,000 jobs.
+IN_MEMORY_EXCESS_KIB_PER_JOB = 0.25
 #: Job-count independence: growing the trace 10x (baseline -> full) must
 #: keep the lazy peak within ``baseline * PEAK_RATIO_LIMIT + PEAK_SLACK_MB``.
 #: (Measured: ~1.1x going from 20k to 60k jobs; the peak flattens near
@@ -123,8 +129,8 @@ def run_lazy_replay(trace_path, telemetry: Telemetry):
     return results, time.perf_counter() - start
 
 
-def run_upfront_replay(trace, telemetry: Telemetry):
-    """Bounded upfront replay of an in-memory ClusterTrace (BENCH_6 path)."""
+def run_in_memory_replay(trace, telemetry: Telemetry):
+    """Bounded replay of an in-memory ClusterTrace (the BENCH_6 call)."""
     simulator = make_simulator()
     start = time.perf_counter()
     results = simulator.run_stream(
@@ -195,16 +201,25 @@ def build_report(
         assert empty == []
         lazy_full = _leg(seconds, end, peak, num_jobs)
 
-        upfront_sink = Telemetry()
+        in_memory_sink = Telemetry()
         ((empty, seconds), end, peak) = _traced(
-            lambda: run_upfront_replay(baseline_trace, upfront_sink)
+            lambda: run_in_memory_replay(baseline_trace, in_memory_sink)
         )
         assert empty == []
-        upfront_baseline = _leg(seconds, end, peak, baseline_jobs)
+        in_memory_baseline = _leg(seconds, end, peak, baseline_jobs)
 
     lazy_summary = lazy_baseline_sink.summary()
-    upfront_summary = upfront_sink.summary()
-    summaries_match = asdict(lazy_summary) == asdict(upfront_summary)
+    in_memory_summary = in_memory_sink.summary()
+    summaries_match = asdict(lazy_summary) == asdict(in_memory_summary)
+    in_memory_excess = (
+        (
+            in_memory_baseline["peak_tracemalloc_mb"]
+            - lazy_baseline["peak_tracemalloc_mb"]
+        )
+        * 1024
+        / baseline_jobs
+    )
+    within_in_memory_excess = in_memory_excess <= IN_MEMORY_EXCESS_KIB_PER_JOB
 
     peak_ratio = (
         lazy_full["peak_tracemalloc_mb"] / lazy_baseline["peak_tracemalloc_mb"]
@@ -225,21 +240,25 @@ def build_report(
         "memory_budget_mb": MEMORY_BUDGET_MB,
         "peak_ratio_limit": PEAK_RATIO_LIMIT,
         "peak_slack_mb": PEAK_SLACK_MB,
+        "in_memory_excess_limit_kib_per_job": IN_MEMORY_EXCESS_KIB_PER_JOB,
         "full_trace_bytes": full_trace_bytes,
         "lazy_baseline": lazy_baseline,
         "lazy_full": lazy_full,
-        "upfront_baseline": upfront_baseline,
+        "in_memory_baseline": in_memory_baseline,
         "peak_ratio_full_over_baseline": peak_ratio,
         "peak_growth_limit_mb": peak_growth_limit,
         "within_growth_limit": within_growth_limit,
-        "upfront_peak_over_lazy_peak": (
-            upfront_baseline["peak_tracemalloc_mb"]
-            / lazy_baseline["peak_tracemalloc_mb"]
-        ),
+        "in_memory_excess_kib_per_job": in_memory_excess,
+        "within_in_memory_excess": within_in_memory_excess,
         "summaries_match": summaries_match,
         "completed": full_summary.completed,
         "expired": full_summary.expired,
-        "ok": within_budget and within_growth_limit and summaries_match,
+        "ok": (
+            within_budget
+            and within_growth_limit
+            and within_in_memory_excess
+            and summaries_match
+        ),
     }
 
 
@@ -275,15 +294,17 @@ def test_lazy_peak_within_budget(report):
 @pytest.mark.paper_artifact("stream-trace")
 def test_lazy_replay_matches_upfront_summary(report):
     # Same trace, same seed: the telemetry summaries must agree bit for bit
-    # whether arrivals were lazily minted from disk or submitted up front.
+    # whether the arrivals were read from disk or passed in memory.
     assert report["summaries_match"]
     assert report["completed"] + report["expired"] == report["num_jobs"]
 
 
 @pytest.mark.paper_artifact("stream-trace")
-def test_upfront_transient_exceeds_lazy_peak(report):
-    # The upfront path pays ~0.8 KiB/job before the clock starts; even at
-    # this reduced scale that transient is visibly above the lazy peak, and
-    # at acceptance scale it is the ~81 MiB BENCH_6 pins vs ~1 MiB here.
-    assert report["upfront_peak_over_lazy_peak"] > 1.2
+def test_in_memory_peak_stays_near_lazy_peak(report):
+    # In-memory circuits enter through the same cursor as the trace, so no
+    # per-job transient precedes the clock: the in-memory leg peaks only
+    # its per-job inputs above the lazy leg.
+    assert (
+        report["in_memory_excess_kib_per_job"] <= IN_MEMORY_EXCESS_KIB_PER_JOB
+    ), report["in_memory_excess_kib_per_job"]
     assert report["ok"]

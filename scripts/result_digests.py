@@ -4,14 +4,23 @@
 Runs one ``perfbench/worker.py`` leg per workload and simulation seed in
 ``SEEDS`` (the trace seed follows the simulation seed, except that
 ``paper-fig22`` always replays the paper's cloud, trace seed 7) and writes
+a ``{numpy}`` header line naming the numpy version the legs ran with, then
 one ``{workload, trace_seed, sim_seed, digest}`` line per leg.  A pure speed
-change leaves every line as it was, so this file can be diffed against the
-parent commit's without building both trees.  Exit status 1 when a leg
-fails, times out or its replay reports a problem.
+change leaves every leg line as it was.
+
+``--check FILE`` compares the legs with a file this script wrote earlier
+(the committed golden file is ``tests/golden/perfbench_digests.jsonl``) and
+names every leg whose digest differs, with the recorded and the running
+numpy versions.  Rewrite the golden file only with ``--out``, and only in a
+change that means to move results.
+
+Exit status 1 when a leg fails, times out or its replay reports a problem,
+or when a checked digest differs.
 
 Usage (from the repository root)::
 
     python3 scripts/result_digests.py --out DIGESTS.jsonl
+    python3 scripts/result_digests.py --check tests/golden/perfbench_digests.jsonl
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
 #: Simulation seeds of the legs.
@@ -38,9 +49,49 @@ def _perfbench_run():
     return module
 
 
+def _leg_digests(lines):
+    """``{(workload, trace seed, sim seed): digest}`` of leg lines."""
+    return {
+        (leg["workload"], leg["trace_seed"], leg["sim_seed"]): leg["digest"]
+        for leg in map(json.loads, lines)
+    }
+
+
+def check(path: str, lines) -> int:
+    """Compare leg lines with a digests file; 1 when any digest differs."""
+    header, *recorded_lines = Path(path).read_text().splitlines()
+    recorded = _leg_digests(recorded_lines)
+    running = _leg_digests(lines)
+    legs = list(recorded) + [leg for leg in running if leg not in recorded]
+    differing = [leg for leg in legs if recorded.get(leg) != running.get(leg)]
+    versions = (
+        f"numpy {json.loads(header)['numpy']} recorded, "
+        f"{numpy.__version__} running"
+    )
+    if not differing:
+        print(f"all {len(running)} digests match {path} ({versions})")
+        return 0
+    for workload, trace_seed, sim_seed in differing:
+        print(
+            f"digest differs: {workload} trace seed {trace_seed} "
+            f"sim seed {sim_seed}",
+            file=sys.stderr,
+        )
+    print(
+        f"{len(differing)} of {len(legs)} digests differ from {path} "
+        f"({versions})",
+        file=sys.stderr,
+    )
+    return 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="DIGESTS.jsonl")
+    parser.add_argument(
+        "--check", metavar="FILE",
+        help="exit 1 unless every digest equals the one recorded in FILE",
+    )
     args = parser.parse_args(argv)
     run = _perfbench_run()
     lines = []
@@ -67,8 +118,9 @@ def main(argv=None) -> int:
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"digest run failed: {exc}", file=sys.stderr)
         return 1
-    Path(args.out).write_text("".join(f"{line}\n" for line in lines))
-    return 0
+    header = json.dumps({"numpy": numpy.__version__})
+    Path(args.out).write_text("".join(f"{line}\n" for line in [header, *lines]))
+    return check(args.check, lines) if args.check else 0
 
 
 if __name__ == "__main__":

@@ -36,9 +36,17 @@ class Controller:
     # ------------------------------------------------------------------
     # Job lifecycle
     # ------------------------------------------------------------------
-    def submit(self, circuit: QuantumCircuit, arrival_time: float = 0.0) -> Job:
-        """Register a new tenant job in PENDING state."""
-        job = Job(circuit=circuit, arrival_time=arrival_time)
+    def submit(
+        self,
+        circuit: QuantumCircuit,
+        arrival_time: float = 0.0,
+        job_id: Optional[str] = None,
+    ) -> Job:
+        """Register a new PENDING job (``job_id``: one from reserve_job_ids)."""
+        if job_id is None:
+            job = Job(circuit=circuit, arrival_time=arrival_time)
+        else:
+            job = Job(circuit=circuit, job_id=job_id, arrival_time=arrival_time)
         self.jobs[job.job_id] = job
         return job
 

@@ -55,6 +55,14 @@ def set_job_counter(value: int) -> None:
     _next_issued = value
 
 
+def reserve_job_ids(count: int) -> int:
+    """Reserve ``count`` consecutive job ids; returns the first one's number."""
+    # The live counter, not the shadow: a rebound counter leaves it stale.
+    first = next(_job_counter)
+    set_job_counter(first + count)
+    return first
+
+
 @dataclass
 class Job:
     """A tenant request: one circuit plus scheduling metadata."""

@@ -16,7 +16,10 @@ Everything that moves the simulation forward is a timestamped event on one
 * *arrival* -- a tenant job enters the pending queue and immediately triggers a
   placement pass, so a job arriving while EPR rounds are in flight is placed at
   its arrival time whenever capacity is free (it is never starved waiting for
-  an unrelated completion);
+  an unrelated completion).  Every job -- from in-memory circuit lists and
+  recorded traces alike -- enters through one *pending-arrival cursor*: a
+  single outstanding event that mints the job at its arrival instant and then
+  schedules itself for the next arrival;
 * *tick* -- one scheduler decision point: retire finished jobs, run a placement
   pass over the pending queue in batch-manager order, and start the next EPR
   round if any placed job has front-layer remote operations;
@@ -41,8 +44,8 @@ resumed job keeps its banked EPR successes.  The default
 seeded runs bit-identical to the paper's irrevocable-placement behavior.
 
 Idle gaps (no runnable remote operation) are skipped by scheduling the next
-tick directly at the next completion time; upcoming arrivals are already queued
-as events.  While rounds are in flight, completions are acted on at round
+tick directly at the next completion time; the next arrival is always queued
+by the cursor.  While rounds are in flight, completions are acted on at round
 boundaries -- the scheduler's decision points -- which keeps pure batch mode
 (all arrivals at t=0) bit-identical to the original round-stepped simulator.
 Determinism comes from the event loop's insertion-order tiebreak plus a single
@@ -77,7 +80,7 @@ import numpy as np
 
 from ..circuits import QuantumCircuit
 from ..cloud import QPU, Controller, Job, JobStatus, PlacementError, QuantumCloud
-from ..cloud.job import job_counter_state, set_job_counter
+from ..cloud.job import job_counter_state, reserve_job_ids, set_job_counter
 from ..community import CommunityError
 from ..network import EPRModel
 from ..placement import (
@@ -93,7 +96,6 @@ from ..sim import (
     EventLoop,
     FrontLayer,
     LatencyModel,
-    SimulationError,
     local_execution_time,
     run_epr_round,
 )
@@ -131,14 +133,14 @@ from .preemption import (
 from .trace import TraceCursor, TraceReader, TraceRecord, cached_circuit
 
 #: Event-loop tier of job-arrival events (see :meth:`EventLoop.schedule`).
-#: Arrivals run before any same-timestamp tick/expiry/round-end event in
-#: *both* submission modes: upfront submission already ordered them first
-#: (their events are scheduled before any dynamic event, so they win the
-#: insertion-order tiebreak), and the negative tier gives the lazily
-#: scheduled trace-cursor arrivals -- whose sequence numbers are assigned
-#: mid-run -- the exact same precedence, which is what keeps the two modes
-#: bit-identical.
+#: The cursor schedules each arrival mid-run, after events already queued
+#: for the same instant; the negative tier still runs the arrival first, so
+#: the job is pending when that instant's tick/expiry/round-end event runs.
 ARRIVAL_TIER = -1
+
+#: A pending-arrival cursor item: ``(time, circuit, tenant, job id)``; a
+#: ``None`` job id (trace records) takes the next id when the job is minted.
+_Arrival = Tuple[float, QuantumCircuit, Any, Optional[str]]
 
 
 class ClusterSimulationError(RuntimeError):
@@ -148,6 +150,14 @@ class ClusterSimulationError(RuntimeError):
 #: Sentinel for :meth:`MultiTenantSimulator.resume_stream`'s ``checkpoint``
 #: parameter: "keep checkpointing exactly as the snapshotted run did".
 _INHERIT_CHECKPOINT = object()
+
+
+def _record_arrivals(records: Iterable[TraceRecord]) -> Iterator[_Arrival]:
+    """Trace records as cursor arrivals; each job's id is minted at arrival."""
+    return (
+        (record.arrival_time, record.resolve_circuit(), record.tenant, None)
+        for record in records
+    )
 
 
 @dataclass
@@ -293,10 +303,9 @@ class _EventDrivenBatch:
         "tick_handle": "event-loop handle; the resume path schedules a fresh tick",
         "_autoscaler_handle": "event-loop handle; the resume path re-arms the autoscaler poll",
         "_trace_info": "captured as the 'trace' key",
-        "_records": "live record iterator; a resumed run re-opens the trace and seeks via the 'cursor' key",
+        "_arrivals": "live arrival iterator; a resumed run re-opens the trace and seeks via the 'cursor' key",
         "_trace_cursor": "captured as the 'cursor' key via TraceCursor checkpointing",
         "_stream_capacity": "derived from the template cloud's total capacity in __init__",
-        "_restored": "transient flag marking a freshly restored batch; meaningless inside a snapshot",
         "_signal_flag": "transient kill-signal latch; a snapshot is always taken with the flag clear",
         "_job_capture_cache": "memo for _capture_job keyed by object identity; identity does not survive a restore",
         "_captured_results": "memo of already-serialized results; rebuilt lazily after restore",
@@ -305,15 +314,13 @@ class _EventDrivenBatch:
     def __init__(
         self,
         simulator: "MultiTenantSimulator",
-        circuits: Sequence[QuantumCircuit],
-        arrival_times: Sequence[float],
+        arrivals: Optional[Iterator[_Arrival]],
         seed: Optional[int],
         telemetry=None,
         keep_results: bool = True,
-        tenants: Optional[Sequence] = None,
-        record_stream: Optional[Iterator[TraceRecord]] = None,
         checkpoint: Optional[CheckpointConfig] = None,
         trace_info: Optional[Dict[str, Any]] = None,
+        trace_cursor: Optional[TraceCursor] = None,
         restoring: bool = False,
     ) -> None:
         self.simulator = simulator
@@ -329,7 +336,6 @@ class _EventDrivenBatch:
         self._seed = seed
         self._checkpoint = checkpoint
         self._trace_info = trace_info
-        self._restored = restoring
         self._pending_record: Optional[Dict[str, Any]] = None
         self._results_recorded = 0
         self._signal_flag: Optional[int] = None
@@ -339,13 +345,6 @@ class _EventDrivenBatch:
         # run each snapshot would otherwise cost O(finished jobs)).
         self._job_capture_cache: Dict[str, Dict[str, Any]] = {}
         self._captured_results: List[Dict[str, Any]] = []
-        if checkpoint is not None and telemetry is not None:
-            if telemetry._stream is not None and telemetry._events_path is None:
-                raise CheckpointError(
-                    "checkpointed runs need the telemetry event stream to be "
-                    "a path (events='events.jsonl') or disabled; a caller-"
-                    "owned file object cannot be re-opened on resume"
-                )
         self.cloud = simulator.template_cloud.clone_empty()
         self.latency = simulator.latency
         self.round_tail = self.latency.two_qubit_gate + self.latency.measurement
@@ -404,7 +403,6 @@ class _EventDrivenBatch:
         self._calibration_restore: Dict[int, Optional[float]] = {}
         self._submitted = 0
         self._dropped_jobs = 0
-        self._future_arrivals = len(circuits)
         self._stream_exhausted = False
         self._autoscaler_handle: Optional[EventHandle] = None
         if self.faults is not None:
@@ -425,49 +423,49 @@ class _EventDrivenBatch:
                     )
                 if self.faults.autoscaler is not None:
                     self._ensure_autoscaler(0.0)
-        for index, (circuit, arrival) in enumerate(zip(circuits, arrival_times)):
-            job = self.controller.submit(circuit, arrival_time=arrival)
-            if tenants is not None:
-                self.tenants[job.job_id] = tenants[index]
-            self.loop.schedule_at(
-                arrival,
-                self._arrival_callback(job),
-                label=f"arrive:{job.job_id}",
-                tier=ARRIVAL_TIER,
-            )
-        # Lazy trace replay (see docs/architecture.md, "Trace ingestion &
-        # replay"): instead of minting every job upfront, a single
-        # *pending-arrival cursor* event walks the record stream -- each
-        # firing mints exactly one job at its arrival instant, runs the
-        # normal arrival logic, and schedules the cursor for the next
-        # record.  Peak memory is then O(in-flight jobs), not O(trace).
-        self._records = iter(record_stream) if record_stream is not None else None
-        self._trace_cursor = (
-            record_stream if isinstance(record_stream, TraceCursor) else None
-        )
+        # The pending-arrival cursor (see docs/architecture.md, "Lazy
+        # replay: the pending-arrival cursor"): a single event walks the
+        # arrival stream -- each firing mints exactly one job at its arrival
+        # instant, runs the arrival lifecycle, and schedules the cursor for
+        # the next arrival.  Peak memory is then O(in-flight jobs), not
+        # O(workload).  execute() starts the cursor and closes a path
+        # trace's ``trace_cursor``.
+        self._arrivals = arrivals
+        self._trace_cursor = trace_cursor
         self._stream_index = 0
         self._last_stream_arrival: Optional[float] = None
         self._stream_capacity = simulator.template_cloud.total_computing_capacity()
-        if self._records is not None:
-            self._schedule_next_arrival()
+
+    @classmethod
+    def from_circuits(
+        cls,
+        simulator: "MultiTenantSimulator",
+        circuits: Sequence[QuantumCircuit],
+        arrival_times: Sequence[float],
+        seed: Optional[int],
+        tenants: Optional[Sequence] = None,
+        **kwargs: Any,
+    ) -> "_EventDrivenBatch":
+        """A batch fed an in-memory workload through the arrival cursor.
+
+        Job ids are reserved in list order and the arrivals stable-sorted by
+        time, so each job keeps the id its list position gives it and
+        equal-time arrivals run in list order.
+        """
+        first = reserve_job_ids(len(circuits))
+        if tenants is None:
+            tenants = [None] * len(circuits)
+        arrivals = (
+            (arrival_times[i], circuits[i], tenants[i], f"job-{first + i}")
+            for i in sorted(range(len(circuits)), key=arrival_times.__getitem__)
+        )
+        return cls(simulator, arrivals, seed, **kwargs)
 
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _arrival_callback(self, job: Job):
-        def on_arrival(loop: EventLoop) -> None:
-            self._future_arrivals -= 1
-            self._handle_arrival(job, loop.now)
-
-        return on_arrival
-
     def _handle_arrival(self, job: Job, now: float) -> None:
-        """Run the arrival lifecycle for one job at its arrival instant.
-
-        Shared verbatim by both submission modes -- upfront arrival events
-        and the lazy trace cursor -- so a job admitted at time t takes the
-        exact same admission/expiry/tick path regardless of how it was fed.
-        """
+        """Run the arrival lifecycle for one job at its arrival instant."""
         self._submitted += 1
         if self.telemetry is not None:
             self.telemetry.job_arrived(
@@ -517,26 +515,28 @@ class _EventDrivenBatch:
         self._ensure_autoscaler(now)
 
     def _schedule_next_arrival(self) -> None:
-        """Advance the pending-arrival cursor to the next trace record.
+        """Advance the pending-arrival cursor to the next arrival.
 
         At most one cursor event is ever outstanding: each firing mints one
         job, feeds it through :meth:`_handle_arrival`, and schedules the
-        cursor for the following record, so the whole trace is walked with
-        O(1) arrival events in the queue.  Records are validated as the
-        cursor reaches them (the stream may come straight off disk), with
-        the same errors the upfront path raises for the equivalent input.
+        cursor for the following arrival, so the whole workload is walked
+        with O(1) arrival events in the queue.  Arrivals are validated as
+        the cursor reaches them, since a trace may come straight off disk
+        (an in-memory workload was already validated in full by
+        :meth:`MultiTenantSimulator.run_batch`).
         """
-        record = next(self._records, None)
-        if record is None:
+        item = next(self._arrivals, None)
+        if item is None:
             self._stream_exhausted = True
             return
+        raw_arrival, circuit, tenant, job_id = item
         index = self._stream_index
         self._stream_index += 1
-        arrival = float(record.arrival_time)
+        arrival = float(raw_arrival)
         if not math.isfinite(arrival):
             raise ValueError(
                 f"trace record #{index}: arrival time is not finite: "
-                f"{record.arrival_time!r}"
+                f"{raw_arrival!r}"
             )
         if arrival < 0:
             raise ValueError("arrival times cannot be negative")
@@ -550,7 +550,6 @@ class _EventDrivenBatch:
                 f"{self._last_stream_arrival}"
             )
         self._last_stream_arrival = arrival
-        circuit = record.resolve_circuit()
         if circuit.num_qubits > self._stream_capacity:
             raise ClusterSimulationError(
                 f"circuit {circuit.name} needs {circuit.num_qubits} qubits but "
@@ -561,32 +560,40 @@ class _EventDrivenBatch:
         # snapshot taken before the arrival event fires must carry it.
         self._pending_record = {
             "arrival": arrival,
-            "circuit": record.circuit,
-            "tenant": record.tenant,
+            "circuit": circuit.name,
+            "tenant": tenant,
             "index": index,
         }
         self.loop.schedule_at(
             arrival,
-            self._cursor_callback(),
+            self._cursor_callback(circuit, job_id),
             label=f"arrive:trace[{index}]",
             tier=ARRIVAL_TIER,
         )
 
-    def _cursor_callback(self):
-        """Arrival callback minting the job for the pending trace record.
+    def _cursor_callback(
+        self,
+        circuit: Optional[QuantumCircuit] = None,
+        job_id: Optional[str] = None,
+    ):
+        """Arrival callback minting the job of the pending arrival.
 
-        Built from :attr:`_pending_record` (not a loop variable) so a
-        checkpoint restore can re-bind the cursor event from the snapshotted
-        record alone.
+        A checkpoint restore re-binds the cursor event from the snapshotted
+        :attr:`_pending_record` alone: only trace replays are checkpointed,
+        so the circuit is the library circuit of the record's name and the
+        job takes the next id.
         """
         pending = self._pending_record
         arrival = float(pending["arrival"])
-        circuit = cached_circuit(pending["circuit"])
+        if circuit is None:
+            circuit = cached_circuit(pending["circuit"])
         tenant = pending["tenant"]
 
         def on_cursor(loop: EventLoop) -> None:
             self._pending_record = None
-            job = self.controller.submit(circuit, arrival_time=arrival)
+            job = self.controller.submit(
+                circuit, arrival_time=arrival, job_id=job_id
+            )
             if tenant is not None:
                 self.tenants[job.job_id] = tenant
             self._handle_arrival(job, loop.now)
@@ -885,11 +892,9 @@ class _EventDrivenBatch:
             return None
         return handle.time
 
-    def _preempt(self, state: _ActiveJob, now: float) -> None:
-        """RUNNING -> PENDING: free the qubits, requeue, settle the ledger."""
-        job = state.job
-        progress = self.progress.setdefault(job.job_id, JobProgress())
-        progress.record_stop(
+    def _record_stop(self, state: _ActiveJob, now: float) -> None:
+        """Settle a stopped placement's work into the job's progress ledger."""
+        self.progress.setdefault(state.job.job_id, JobProgress()).record_stop(
             start_time=state.start_time,
             # Ops sampled for the still-in-flight round never finished: the
             # job loses its qubits mid-round, so they are not banked.
@@ -897,6 +902,11 @@ class _EventDrivenBatch:
             now=now,
             resume=self.resume_work,
         )
+
+    def _preempt(self, state: _ActiveJob, now: float) -> None:
+        """RUNNING -> PENDING: free the qubits, requeue, settle the ledger."""
+        job = state.job
+        self._record_stop(state, now)
         self.controller.preempt(job, now)
         if self.telemetry is not None:
             self.telemetry.job_preempted(job.job_id, now, job.num_preemptions)
@@ -956,13 +966,7 @@ class _EventDrivenBatch:
             if exclude_qpu is None:
                 self.migration_attempt_versions[job.job_id] = version
             return False
-        progress = self.progress.setdefault(job.job_id, JobProgress())
-        progress.record_stop(
-            start_time=state.start_time,
-            completed_ops=state.completed_ops - state.in_flight_ops,
-            now=now,
-            resume=self.resume_work,
-        )
+        self._record_stop(state, now)
         self.controller.migrate(job, placement.mapping, now)
         self._activate(job, placement, now)
         self.migration_attempt_versions.pop(job.job_id, None)
@@ -1014,16 +1018,29 @@ class _EventDrivenBatch:
             communication = (
                 communication if communication is not None else remembered[1]
             )
+        self._add_qpu(event.qpu_id, computing, communication, now)
+        return True
+
+    def _add_qpu(
+        self, qpu_id: int, computing: int, communication: int, now: float
+    ) -> None:
         self.cloud.add_qpu(
             QPU(
-                qpu_id=event.qpu_id,
+                qpu_id=qpu_id,
                 computing_capacity=computing,
                 communication_capacity=communication,
             )
         )
         if self.telemetry is not None:
-            self.telemetry.qpu_joined(event.qpu_id, now)
-        return True
+            self.telemetry.qpu_joined(qpu_id, now)
+
+    def _remove_qpu(self, qpu_id: int) -> None:
+        """Take an idle QPU out of the fleet, remembering its capacities."""
+        qpu = self.cloud.remove_qpu(qpu_id)
+        self._departed_capacities[qpu_id] = (
+            qpu.computing_capacity,
+            qpu.communication_capacity,
+        )
 
     def _fail_qpu(self, qpu_id: int, now: float) -> bool:
         """Abrupt failure: every job holding qubits here is interrupted.
@@ -1054,11 +1071,7 @@ class _EventDrivenBatch:
             else:
                 self._preempt(state, now)
                 requeued.append(job)
-        qpu = self.cloud.remove_qpu(qpu_id)
-        self._departed_capacities[qpu_id] = (
-            qpu.computing_capacity,
-            qpu.communication_capacity,
-        )
+        self._remove_qpu(qpu_id)
         if requeued:
             self._requeue(requeued)
         return True
@@ -1066,13 +1079,7 @@ class _EventDrivenBatch:
     def _fail_job(self, state: _ActiveJob, now: float) -> None:
         """Terminal fault drop: the job leaves with outcome ``failed``."""
         job = state.job
-        progress = self.progress.setdefault(job.job_id, JobProgress())
-        progress.record_stop(
-            start_time=state.start_time,
-            completed_ops=state.completed_ops - state.in_flight_ops,
-            now=now,
-            resume=self.resume_work,
-        )
+        self._record_stop(state, now)
         self.controller.drop(job)
         del self.active[job.job_id]
         self.failure_signatures.pop(job.job_id, None)
@@ -1106,11 +1113,7 @@ class _EventDrivenBatch:
             else:
                 self._preempt(state, now)
                 requeued.append(job)
-        qpu = self.cloud.remove_qpu(qpu_id)
-        self._departed_capacities[qpu_id] = (
-            qpu.computing_capacity,
-            qpu.communication_capacity,
-        )
+        self._remove_qpu(qpu_id)
         if self.telemetry is not None:
             self.telemetry.qpu_drained(
                 qpu_id, now, migrated=migrated, requeued=len(requeued)
@@ -1168,9 +1171,7 @@ class _EventDrivenBatch:
         )
 
     def _more_arrivals(self) -> bool:
-        if self._future_arrivals > 0:
-            return True
-        return self._records is not None and not self._stream_exhausted
+        return self._arrivals is not None and not self._stream_exhausted
 
     def _autoscaler_tick(self, loop: EventLoop) -> None:
         """One autoscaler poll: decide from the live view, apply, reschedule.
@@ -1197,15 +1198,12 @@ class _EventDrivenBatch:
         for action in actions:
             if isinstance(action, ScaleUp):
                 if action.qpu_id not in self.cloud.qpus:
-                    self.cloud.add_qpu(
-                        QPU(
-                            qpu_id=action.qpu_id,
-                            computing_capacity=action.computing_capacity,
-                            communication_capacity=action.communication_capacity,
-                        )
+                    self._add_qpu(
+                        action.qpu_id,
+                        action.computing_capacity,
+                        action.communication_capacity,
+                        now,
                     )
-                    if self.telemetry is not None:
-                        self.telemetry.qpu_joined(action.qpu_id, now)
                     changed = True
             elif isinstance(action, ScaleDown):
                 changed = self._drain_qpu(action.qpu_id, now) or changed
@@ -1589,7 +1587,6 @@ class _EventDrivenBatch:
             "counters": {
                 "submitted": self._submitted,
                 "dropped_jobs": self._dropped_jobs,
-                "future_arrivals": self._future_arrivals,
                 "stream_exhausted": self._stream_exhausted,
                 "stream_index": self._stream_index,
                 "last_stream_arrival": self._last_stream_arrival,
@@ -1623,10 +1620,6 @@ class _EventDrivenBatch:
             return self._autoscaler_tick
         if label.startswith("arrive:trace["):
             return self._cursor_callback()
-        if label.startswith("arrive:"):
-            return self._arrival_callback(
-                self.controller.jobs[label[len("arrive:"):]]
-            )
         if label.startswith("expire:"):
             return self._expiry_callback(
                 self.controller.jobs[label[len("expire:"):]]
@@ -1783,7 +1776,6 @@ class _EventDrivenBatch:
         counters = state["counters"]
         self._submitted = int(counters["submitted"])
         self._dropped_jobs = int(counters["dropped_jobs"])
-        self._future_arrivals = int(counters["future_arrivals"])
         self._stream_exhausted = bool(counters["stream_exhausted"])
         self._stream_index = int(counters["stream_index"])
         self._last_stream_arrival = (
@@ -1839,7 +1831,7 @@ class _EventDrivenBatch:
                 previous=saved_cursor["previous"],
                 first=saved_cursor["first"],
             )
-            self._records = cursor
+            self._arrivals = _record_arrivals(cursor)
             self._trace_cursor = cursor
         # The engine comes last: the resolver needs the restored jobs and
         # pending record to re-bind callbacks.
@@ -1863,26 +1855,17 @@ class _EventDrivenBatch:
     # Driver
     # ------------------------------------------------------------------
     def _run_loop(self) -> None:
-        """Drain the event queue, snapshotting between events if configured.
+        """Step the event queue dry, snapshotting between events if configured.
 
-        With ``checkpoint=None`` on a fresh (non-restored) batch this is the
-        plain :meth:`EventLoop.run` fast path -- literally the pre-checkpoint
-        code -- so arming no checkpoint changes nothing.  Otherwise events
-        are stepped one at a time so snapshots (and the SIGTERM/SIGINT final
-        snapshot) land at safe points *between* events; the max-events budget
-        counts ``processed_events``, which survives a resume, so a resumed
-        run has exactly the budget the uninterrupted run had.
+        Events run one at a time, so snapshots (and the SIGTERM/SIGINT final
+        snapshot) land at safe points *between* events; with
+        ``checkpoint=None`` no snapshot is taken and no signal handler is
+        installed.  The max-events budget counts ``processed_events``, which
+        survives a resume, so a resumed run has exactly the budget the
+        uninterrupted run had.
         """
         max_events = self.simulator.max_events
         config = self._checkpoint
-        if config is None and not self._restored:
-            try:
-                self.loop.run(max_events=max_events)
-            except SimulationError as exc:
-                raise ClusterSimulationError(
-                    f"simulation exceeded {max_events} events"
-                ) from exc
-            return
         handlers: Dict[int, Any] = {}
         if config is not None:
             self._signal_flag = None
@@ -1944,7 +1927,14 @@ class _EventDrivenBatch:
                 signal.signal(signum, previous)
 
     def execute(self) -> List[TenantJobResult]:
-        self._run_loop()
+        try:
+            if self._pending_record is None and self._more_arrivals():
+                # Start the cursor; a restored run already has one pending.
+                self._schedule_next_arrival()
+            self._run_loop()
+        finally:
+            if self._trace_cursor is not None:
+                self._trace_cursor.close()
         if self.pending:
             if any(job.num_preemptions == 0 for job in self.pending):
                 raise ClusterSimulationError(
@@ -2046,13 +2036,15 @@ class MultiTenantSimulator:
         telemetry=None,
         keep_results: bool = True,
         tenants: Optional[Sequence] = None,
-        checkpoint: Optional[CheckpointConfig] = None,
     ) -> List[TenantJobResult]:
         """Run a batch of circuits to completion and return per-job results.
 
         ``arrival_times`` defaults to 0 for every circuit (batch mode); passing
         per-circuit arrival times models the incoming-job mode, where every
         arrival event triggers a placement attempt at its exact arrival time.
+        The times need not be sorted: jobs take ids in list order, enter
+        through the pending-arrival cursor that replays recorded traces, and
+        equal-time arrivals keep list order.
 
         ``telemetry`` attaches a streaming
         :class:`~repro.multitenant.Telemetry` sink fed at every
@@ -2064,11 +2056,9 @@ class MultiTenantSimulator:
         aggregates.  ``tenants`` optionally pairs one tenant id per
         circuit for the sink's per-tenant accounting and event stream.
 
-        ``checkpoint`` arms crash-safe snapshotting (see
-        :class:`~repro.multitenant.CheckpointConfig` and
-        :meth:`resume_stream`); snapshots are written atomically between
-        events, so ``checkpoint=None`` (the default) is bit-identical to a
-        run without the feature.
+        Checkpointing needs a recorded trace: write the circuits with
+        :func:`~repro.multitenant.write_trace` and replay the file with
+        :meth:`run_stream`.
         """
         if telemetry is None and not keep_results:
             raise ValueError(
@@ -2086,6 +2076,9 @@ class MultiTenantSimulator:
             arrival_times = [float(time) for time in arrival_times]
         if len(arrival_times) != len(circuits):
             raise ValueError("arrival_times must match the number of circuits")
+        for index, time in enumerate(arrival_times):
+            if not math.isfinite(time):
+                raise ValueError(f"arrival time #{index} is not finite: {time!r}")
         if any(time < 0 for time in arrival_times):
             raise ValueError("arrival times cannot be negative")
         if not circuits:
@@ -2099,15 +2092,14 @@ class MultiTenantSimulator:
                     f"the cloud only has {total_capacity}"
                 )
 
-        return _EventDrivenBatch(
+        return _EventDrivenBatch.from_circuits(
             self,
             circuits,
             arrival_times,
             seed,
+            tenants=tenants,
             telemetry=telemetry,
             keep_results=keep_results,
-            tenants=tenants,
-            checkpoint=checkpoint,
         ).execute()
 
     def run_stream(
@@ -2132,8 +2124,8 @@ class MultiTenantSimulator:
         :func:`~repro.multitenant.arrivals.bursty_arrivals` or replayed from a
         recorded trace via
         :func:`~repro.multitenant.arrivals.trace_arrivals`.  Arrivals flow
-        through the same event path as batch mode; batch mode is simply the
-        special case where every arrival is at t=0.
+        through the same event path as batch mode (see :meth:`run_batch`);
+        batch mode is simply the special case where every arrival is at t=0.
 
         ``trace=`` replays a *recorded trace* instead (mutually exclusive
         with ``circuits``/``arrival_times``/``tenants``): a path to an
@@ -2142,12 +2134,14 @@ class MultiTenantSimulator:
         :class:`~repro.multitenant.TraceReader`, a
         :class:`~repro.multitenant.ClusterTrace`, or any iterable of
         :class:`~repro.multitenant.TraceRecord`.  Records are consumed
-        **lazily** through a pending-arrival cursor event -- each job is
-        minted at its arrival instant and each record's ``tenant`` feeds the
+        **lazily** through the pending-arrival cursor -- each job is minted
+        at its arrival instant and each record's ``tenant`` feeds the
         telemetry sink -- so with ``keep_results=False`` a million-job
         on-disk trace replays with peak memory independent of the job count.
-        The lazy path is bit-identical to submitting the same workload
-        upfront under a fixed seed (pinned by golden A/B tests).
+        A path trace is read through a :class:`~repro.multitenant.
+        TraceCursor`, closed when the run returns or raises.  Replaying a
+        trace is bit-identical to passing the same workload as circuits and
+        arrival times under a fixed seed (pinned by golden A/B tests).
 
         Every arrival passes through the simulator's admission policy first
         (:class:`~repro.multitenant.AdmitAll` by default); dropped jobs come
@@ -2169,76 +2163,83 @@ class MultiTenantSimulator:
         controller and policy state, telemetry sketches, trace cursor), and
         a SIGTERM/SIGINT triggers one final snapshot before exiting.
         :meth:`resume_stream` continues from the latest snapshot
-        bit-identically to the uninterrupted run.  A checkpointed trace
-        replay needs a *path* trace (the resumable byte cursor re-opens the
-        file); reader/iterable traces raise :class:`CheckpointError`.
+        bit-identically to the uninterrupted run.  Checkpointing needs a
+        *path* trace (the resumable byte cursor re-opens the file): in-memory
+        circuits and reader/iterable traces raise :class:`CheckpointError`;
+        write them with :func:`~repro.multitenant.write_trace` first.
         """
-        if trace is not None:
-            if circuits is not None or arrival_times is not None:
-                raise ValueError(
-                    "trace= is mutually exclusive with circuits/arrival_times"
+        if checkpoint is not None:
+            # Checked before the trace is opened, so a refused run opens
+            # no file.
+            if not isinstance(trace, (str, os.PathLike)):
+                raise CheckpointError(
+                    "a checkpointed run needs a path trace=; in-memory circuits "
+                    "and reader/iterable sources cannot be re-opened on resume "
+                    "(write them with write_trace and replay the file)"
                 )
-            if tenants is not None:
-                raise ValueError(
-                    "trace= carries per-record tenants; tenants= is only for "
-                    "the circuits/arrival_times form"
+            if (
+                telemetry is not None
+                and telemetry._stream is not None
+                and telemetry._events_path is None
+            ):
+                raise CheckpointError(
+                    "checkpointed runs need the telemetry event stream to be "
+                    "a path (events='events.jsonl') or disabled; a caller-"
+                    "owned file object cannot be re-opened on resume"
                 )
-            if telemetry is None and not keep_results:
+        if trace is None:
+            if trace_format is not None:
+                raise ValueError("trace_format= only applies with trace=")
+            if circuits is None or arrival_times is None:
                 raise ValueError(
-                    "keep_results=False requires a telemetry sink; the run "
-                    "would otherwise produce nothing"
+                    "run_stream requires circuits and explicit arrival times "
+                    "(or a recorded trace via trace=)"
                 )
-            if checkpoint is not None:
-                # The checkpointed path reads through a byte-addressable
-                # cursor so the snapshot can record an exact resume offset;
-                # checkpoint=None keeps the original record iterator
-                # untouched (pinned bit-identical by regression tests).
-                if not isinstance(trace, (str, os.PathLike)):
-                    raise CheckpointError(
-                        "a checkpointed trace replay needs a path trace= "
-                        "(reader/iterable sources cannot be re-opened on "
-                        "resume)"
-                    )
-                reader = TraceReader(trace, format=trace_format)
-                return _EventDrivenBatch(
-                    self,
-                    (),
-                    (),
-                    seed,
-                    telemetry=telemetry,
-                    keep_results=keep_results,
-                    record_stream=reader.cursor(),
-                    checkpoint=checkpoint,
-                    trace_info={
-                        "path": os.fspath(trace),
-                        "format": reader.format,
-                    },
-                ).execute()
-            return _EventDrivenBatch(
-                self,
-                (),
-                (),
-                seed,
+            return self.run_batch(
+                circuits,
+                seed=seed,
+                arrival_times=list(arrival_times),
                 telemetry=telemetry,
                 keep_results=keep_results,
-                record_stream=self._trace_records(trace, trace_format),
-            ).execute()
-        if trace_format is not None:
-            raise ValueError("trace_format= only applies with trace=")
-        if circuits is None or arrival_times is None:
-            raise ValueError(
-                "run_stream requires circuits and explicit arrival times "
-                "(or a recorded trace via trace=)"
+                tenants=tenants,
             )
-        return self.run_batch(
-            circuits,
-            seed=seed,
-            arrival_times=list(arrival_times),
+        if circuits is not None or arrival_times is not None:
+            raise ValueError(
+                "trace= is mutually exclusive with circuits/arrival_times"
+            )
+        if tenants is not None:
+            raise ValueError(
+                "trace= carries per-record tenants; tenants= is only for "
+                "the circuits/arrival_times form"
+            )
+        if telemetry is None and not keep_results:
+            raise ValueError(
+                "keep_results=False requires a telemetry sink; the run "
+                "would otherwise produce nothing"
+            )
+        cursor = trace_info = None
+        if isinstance(trace, (str, os.PathLike)):
+            # A byte-addressable cursor, so a snapshot can record an exact
+            # resume offset.
+            reader = TraceReader(trace, format=trace_format)
+            records = cursor = reader.cursor()
+            trace_info = {"path": os.fspath(trace), "format": reader.format}
+        elif trace_format is not None:
+            raise ValueError("trace_format= only applies when trace= is a path")
+        else:
+            # ClusterTrace (and adapter-like objects) or any record iterable.
+            iter_records = getattr(trace, "iter_records", None)
+            records = iter_records() if callable(iter_records) else trace
+        return _EventDrivenBatch(
+            self,
+            _record_arrivals(records),
+            seed,
             telemetry=telemetry,
             keep_results=keep_results,
-            tenants=tenants,
             checkpoint=checkpoint,
-        )
+            trace_info=trace_info,
+            trace_cursor=cursor,
+        ).execute()
 
     def resume_stream(
         self,
@@ -2280,8 +2281,7 @@ class MultiTenantSimulator:
             )
         batch = _EventDrivenBatch(
             self,
-            (),
-            (),
+            None,
             state["seed"],
             telemetry=None,
             keep_results=bool(state["keep_results"]),
@@ -2295,23 +2295,6 @@ class MultiTenantSimulator:
         batch.telemetry = None
         batch._restore_state(state, telemetry)
         return batch.execute()
-
-    @staticmethod
-    def _trace_records(
-        trace: Union[str, os.PathLike, TraceReader, Iterable[TraceRecord]],
-        trace_format: Optional[str],
-    ) -> Iterator[TraceRecord]:
-        """Coerce any accepted ``trace=`` input into a lazy record iterator."""
-        if isinstance(trace, (str, os.PathLike)):
-            return iter(TraceReader(trace, format=trace_format))
-        if trace_format is not None:
-            raise ValueError(
-                "trace_format= only applies when trace= is a path"
-            )
-        iter_records = getattr(trace, "iter_records", None)
-        if callable(iter_records):  # ClusterTrace (and adapter-like objects)
-            return iter_records()
-        return iter(trace)
 
     def run_batches(
         self,

@@ -18,8 +18,10 @@ from repro.multitenant import (
     CheckpointConfig,
     CheckpointError,
     CheckpointMismatchError,
+    ClusterSimulationError,
     MultiTenantSimulator,
     Telemetry,
+    TraceCursor,
     check_fingerprint,
     generate_anchor_burst_trace,
     read_snapshot,
@@ -334,6 +336,66 @@ class TestResumeRefusal:
                 seed=1,
                 checkpoint=CheckpointConfig(path=str(tmp_path / "s.json")),
             )
+        # In-memory circuits are refused the same way, naming the remedy.
+        with pytest.raises(CheckpointError, match="write_trace"):
+            _make_sim().run_stream(
+                trace.circuits,
+                trace.arrival_times,
+                seed=1,
+                checkpoint=CheckpointConfig(path=str(tmp_path / "s.json")),
+            )
+
+
+class TestTraceCursorClosed:
+    """Every trace cursor a run opens is closed when the run returns or
+    raises: the checkpointed replay's, the resume's, and a failed run's."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        cursors = []
+        original = TraceCursor.__init__
+
+        def tracking_init(cursor, reader):
+            original(cursor, reader)
+            cursors.append(cursor)
+
+        monkeypatch.setattr(TraceCursor, "__init__", tracking_init)
+        return cursors
+
+    @staticmethod
+    def _trace(tmp_path):
+        trace_path = str(tmp_path / "trace.jsonl")
+        write_trace(
+            trace_path,
+            generate_anchor_burst_trace(
+                2, 4, num_qpus=3, anchor="ghz_n9", filler="ghz_n5"
+            ).iter_records(),
+        )
+        return trace_path
+
+    def test_checkpointed_replay_and_resume(self, tmp_path, opened):
+        snap_path = str(tmp_path / "snap.json")
+        job_module.set_job_counter(0)
+        _make_sim().run_stream(
+            trace=self._trace(tmp_path),
+            seed=3,
+            checkpoint=CheckpointConfig(path=snap_path, every_jobs=3),
+        )
+        assert len(opened) == 1 and opened[0]._stream.closed
+        job_module.set_job_counter(0)
+        assert _make_sim().resume_stream(snap_path, checkpoint=None)
+        assert len(opened) == 2 and opened[1]._stream.closed
+
+    def test_run_that_raises(self, tmp_path, opened):
+        simulator = _make_sim()
+        simulator.max_events = 5
+        with pytest.raises(ClusterSimulationError, match="exceeded 5 events"):
+            simulator.run_stream(
+                trace=self._trace(tmp_path),
+                seed=3,
+                checkpoint=CheckpointConfig(path=str(tmp_path / "s.json")),
+            )
+        assert len(opened) == 1 and opened[0]._stream.closed
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the multi-tenant cluster simulator."""
 
+import math
+
 import pytest
 
 from repro.circuits import QuantumCircuit
@@ -121,10 +123,13 @@ class TestArrivalTimes:
             )
 
     def test_negative_arrival_times_rejected(self, default_cloud):
-        with pytest.raises(ValueError):
-            make_simulator(default_cloud).run_batch(
-                [ghz(8)], seed=1, arrival_times=[-1.0]
-            )
+        # Non-finite times too: NaN passes a `< 0` check, and a job arriving
+        # at inf would be reported completed at inf.
+        for time in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                make_simulator(default_cloud).run_batch(
+                    [ghz(8)], seed=1, arrival_times=[time]
+                )
 
     def test_arrival_starvation_regression(self):
         """A job arriving while EPR rounds are in flight is placed at its
@@ -278,7 +283,7 @@ class TestIncrementalPlacementFastPath:
         simulator = make_simulator(cloud, batch_manager=fifo_batch_manager())
         # Two jobs fill the cloud; the third (24 qubits > 16+16-32 free) waits
         # until a release, so its failed attempt leaves a signature behind.
-        batch = _EventDrivenBatch(
+        batch = _EventDrivenBatch.from_circuits(
             simulator, [ghz(24), ghz(8), ghz(24)], [0.0, 0.0, 0.0], seed=3
         )
         results = batch.execute()

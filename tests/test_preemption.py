@@ -614,7 +614,7 @@ class TestMidRoundEviction:
             contended_cloud(epr_success_probability=1.0),
             preemption_policy=EvictBigOnce(),
         )
-        batch = _EventDrivenBatch(
+        batch = _EventDrivenBatch.from_circuits(
             simulator, [ghz(24), ghz(4)], [0.0, 5.0], seed=1
         )
         results = batch.execute()

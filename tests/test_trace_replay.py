@@ -11,9 +11,11 @@ Also pins the ``run_stream``/``run_batch`` input-validation bugfix.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from repro.multitenant import (
     generate_cluster_trace,
     trace_arrivals,
 )
-from repro.placement import CloudQCPlacement
+from repro.placement import CloudQCPlacement, RandomPlacement
 from repro.scheduling import (
     AverageScheduler,
     CloudQCScheduler,
@@ -353,3 +355,119 @@ class TestLazyTelemetryEvents:
             if json.loads(line).get("event") == "job_arrived"
         ]
         assert [event.get("tenant") for event in arrived] == GOLDEN_TENANTS
+
+
+# ----------------------------------------------------------------------
+# Golden: unsorted in-memory input with tied arrival times
+# ----------------------------------------------------------------------
+#: The 14-job anchor-burst trace (2 cycles x 6 fillers) in a fixed
+#: shuffled order with arrivals rounded to multiples of 7: two pairs of
+#: jobs tie (t=0 and t=245), and list order must break both ties.
+UNSORTED_GOLDEN_JOBS = 14
+
+#: (placement, scheduler) -> per-result (job_id, circuit, arrival,
+#: placement, completion, outcome) with NaN as None, the sha256 of the
+#: telemetry event stream, and the job counter after the run.  Recorded
+#: from the simulator that submitted in-memory circuits up front, before
+#: they entered through the pending-arrival cursor.
+UNSORTED_GOLDEN = {
+    (CloudQCPlacement, CloudQCScheduler): (
+        [
+            ("job-5", "ghz_n9", 259.0, 281.0, 298.0, "completed"),
+            ("job-6", "ghz_n9", 252.0, 265.0, 281.0, "completed"),
+            ("job-7", "ghz_n9", 280.0, 298.0, 306.1, "completed"),
+            ("job-8", "ghz_n9", 7.0, 20.0, 36.0, "completed"),
+            ("job-9", "ghz_n9", 273.0, 298.0, 306.1, "completed"),
+            ("job-10", "ghz_n51", 0.0, 0.0, 50.1, "completed"),
+            ("job-11", "ghz_n9", 0.0, 0.0, 16.0, "completed"),
+            ("job-12", "ghz_n9", 21.0, 46.0, 62.0, "completed"),
+            ("job-13", "ghz_n51", 245.0, 245.0, 295.1, "completed"),
+            ("job-14", "ghz_n9", 35.0, 53.0, 61.1, "completed"),
+            ("job-15", "ghz_n9", 266.0, 291.0, 307.0, "completed"),
+            ("job-16", "ghz_n9", 28.0, 53.0, 61.1, "completed"),
+            ("job-17", "ghz_n9", 14.0, 36.0, 53.0, "completed"),
+            ("job-18", "ghz_n9", 245.0, 245.0, 261.0, "completed"),
+        ],
+        "2112960581b1e59ef9a75b54d98f4d80eb0d99d03f0a7e22fa6961f3a9eaa147",
+        19,
+    ),
+    (RandomPlacement, GreedyScheduler): (
+        [
+            ("job-5", "ghz_n9", 259.0, None, None, "expired"),
+            ("job-6", "ghz_n9", 252.0, 277.0, 292.1, "completed"),
+            ("job-7", "ghz_n9", 280.0, None, None, "expired"),
+            ("job-8", "ghz_n9", 7.0, 32.0, 270.0, "completed"),
+            ("job-9", "ghz_n9", 273.0, None, None, "expired"),
+            ("job-10", "ghz_n51", 0.0, 0.0, 862.0, "completed"),
+            ("job-11", "ghz_n9", 0.0, 0.0, 270.0, "completed"),
+            ("job-12", "ghz_n9", 21.0, None, None, "expired"),
+            ("job-13", "ghz_n51", 245.0, 270.0, 716.0, "completed"),
+            ("job-14", "ghz_n9", 35.0, None, None, "expired"),
+            ("job-15", "ghz_n9", 266.0, None, None, "expired"),
+            ("job-16", "ghz_n9", 28.0, None, None, "expired"),
+            ("job-17", "ghz_n9", 14.0, None, None, "expired"),
+            ("job-18", "ghz_n9", 245.0, 270.0, 466.0, "completed"),
+        ],
+        "aa48c9115ad24eae19637fba10a564cc317e50c961b41d971b715e3ad4fd8df6",
+        19,
+    ),
+}
+
+
+def unsorted_inputs():
+    trace = generate_anchor_burst_trace(cycles=2, fillers_per_cycle=6)
+    order = np.random.default_rng(3).permutation(len(trace))
+    return (
+        [trace.circuits[i] for i in order],
+        [7.0 * round(trace.arrival_times[i] / 7.0) for i in order],
+        [trace.tenant_ids[i] for i in order],
+    )
+
+
+class TestUnsortedInMemoryGolden:
+    @pytest.mark.parametrize(
+        "placement_cls, scheduler_cls", list(UNSORTED_GOLDEN)
+    )
+    def test_results_events_and_job_ids(self, placement_cls, scheduler_cls):
+        circuits, times, tenants = unsorted_inputs()
+        assert len(circuits) == UNSORTED_GOLDEN_JOBS
+        assert times != sorted(times)
+        assert times.count(0.0) == times.count(245.0) == 2
+        job_module.set_job_counter(5)
+        simulator = MultiTenantSimulator(
+            small_cloud(),
+            placement_algorithm=placement_cls(),
+            network_scheduler=scheduler_cls(),
+            batch_manager=fifo_batch_manager(),
+            admission_policy=QueueingDeadline(30.0),
+            preemption_policy=DeadlineRescue(horizon=5.0),
+        )
+        events = io.StringIO()
+        results = simulator.run_stream(
+            circuits,
+            times,
+            seed=7,
+            tenants=tenants,
+            telemetry=Telemetry(events=events),
+        )
+        rows = [
+            tuple(
+                None if isinstance(value, float) and math.isnan(value) else value
+                for value in (
+                    r.job_id,
+                    r.circuit_name,
+                    r.arrival_time,
+                    r.placement_time,
+                    r.completion_time,
+                    r.outcome.value,
+                )
+            )
+            for r in results
+        ]
+        expected_rows, expected_digest, expected_counter = UNSORTED_GOLDEN[
+            (placement_cls, scheduler_cls)
+        ]
+        assert rows == expected_rows
+        digest = hashlib.sha256(events.getvalue().encode()).hexdigest()
+        assert digest == expected_digest
+        assert job_module.job_counter_state() == expected_counter
