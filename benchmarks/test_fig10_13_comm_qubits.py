@@ -7,8 +7,11 @@ every curve.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
+from answer_ledger import check_answer
 from repro.analysis import format_series, sweep_communication_qubits
 
 COMM_QUBITS = (5, 6, 7, 8, 9, 10)
@@ -27,18 +30,28 @@ FULL_CIRCUITS = {
 }
 
 
+def jct_series(circuit):
+    """Mean JCT per scheduling policy over ``COMM_QUBITS``."""
+    return sweep_communication_qubits(
+        circuit,
+        communication_counts=COMM_QUBITS,
+        repetitions=REPETITIONS,
+        seed=1,
+    )
+
+
+def answers():
+    """This module's paper-answer ledger entries (see answer_ledger)."""
+    return {
+        f"fig10-13/{figure}": partial(jct_series, circuit)
+        for figure, circuit in DEFAULT_CIRCUITS.items()
+    }
+
+
 @pytest.mark.paper_artifact("fig10-13")
 @pytest.mark.parametrize("figure,circuit", sorted(DEFAULT_CIRCUITS.items()))
 def test_fig10_13_jct_vs_communication_qubits(benchmark, figure, circuit):
-    def run():
-        return sweep_communication_qubits(
-            circuit,
-            communication_counts=COMM_QUBITS,
-            repetitions=REPETITIONS,
-            seed=1,
-        )
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+    series = benchmark.pedantic(jct_series, args=(circuit,), rounds=1, iterations=1)
 
     print(f"\n{figure}: mean JCT vs communication qubits ({circuit})")
     print(format_series(series, COMM_QUBITS, x_label="comm_qubits", precision=0))
@@ -51,3 +64,4 @@ def test_fig10_13_jct_vs_communication_qubits(benchmark, figure, circuit):
         values = {name: series[name][index] for name in series}
         assert values["CloudQC"] <= max(values.values())
         assert values["CloudQC"] <= values["Greedy"] * 1.05
+    check_answer(f"fig10-13/{figure}", series)

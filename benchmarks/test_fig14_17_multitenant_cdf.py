@@ -9,14 +9,18 @@ few minutes (constants below restore paper scale).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from answer_ledger import check_answer
 from repro.analysis import (
     default_cloud,
     format_cdf_summary,
     multitenant_jct_distribution,
 )
+from repro.cloud.job import set_job_counter
 
 #: Default (reduced) scale: 1 batch of 6 circuits per workload.
 NUM_BATCHES = 1
@@ -35,26 +39,50 @@ FULL_WORKLOADS = ["mixed", "qft", "qugan", "arithmetic"]
 METHODS = ["CloudQC", "CloudQC-BFS", "CloudQC-FIFO"]
 
 
+def jct_distribution(workload):
+    """Per-method JCT samples of one workload (cloud seed 7, sim seed 1)."""
+    # Network schedulers break ties on job-id strings, so the answer depends
+    # on the process-wide job counter; start it where a fresh process does.
+    set_job_counter(0)
+    return multitenant_jct_distribution(
+        workload,
+        num_batches=NUM_BATCHES,
+        batch_size=BATCH_SIZE,
+        seed=1,
+        cloud=default_cloud(seed=7),
+    )
+
+
+def paper_facing(distribution):
+    """The ledger's answer: every JCT sample and the per-method means."""
+    means = {name: float(np.mean(times)) for name, times in distribution.items()}
+    return {"jct": distribution, "mean_jct": means}
+
+
+def answers():
+    """This module's paper-answer ledger entries (see answer_ledger)."""
+
+    def answer(workload):
+        return paper_facing(jct_distribution(workload))
+
+    return {
+        f"fig14-17/{workload}": partial(answer, workload)
+        for workload in DEFAULT_WORKLOADS
+    }
+
+
 @pytest.mark.paper_artifact("fig14-17")
 @pytest.mark.parametrize("workload", DEFAULT_WORKLOADS)
 def test_fig14_17_multitenant_jct_cdf(benchmark, workload):
-    cloud = default_cloud(seed=7)
-
-    def run():
-        return multitenant_jct_distribution(
-            workload,
-            num_batches=NUM_BATCHES,
-            batch_size=BATCH_SIZE,
-            seed=1,
-            cloud=cloud,
-        )
-
-    distribution = benchmark.pedantic(run, rounds=1, iterations=1)
+    distribution = benchmark.pedantic(
+        jct_distribution, args=(workload,), rounds=1, iterations=1
+    )
 
     print(f"\nFigs. 14-17 ({workload} workload): JCT distribution summary")
     print(format_cdf_summary(distribution))
 
-    means = {name: float(np.mean(times)) for name, times in distribution.items()}
+    answer = paper_facing(distribution)
+    means = answer["mean_jct"]
     assert set(distribution) == set(METHODS)
     for times in distribution.values():
         assert len(times) == NUM_BATCHES * BATCH_SIZE
@@ -64,3 +92,4 @@ def test_fig14_17_multitenant_jct_cdf(benchmark, workload):
     assert means["CloudQC"] <= max(means.values())
     if workload == "qft":
         assert means["CloudQC"] <= means["CloudQC-BFS"] * 1.05
+    check_answer(f"fig14-17/{workload}", answer)

@@ -7,8 +7,11 @@ notes one crossover point at probability 0.1 for qugan_n111).
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
+from answer_ledger import check_answer
 from repro.analysis import format_series, sweep_epr_probability
 
 PROBABILITIES = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -27,15 +30,25 @@ FULL_CIRCUITS = {
 }
 
 
+def jct_series(circuit):
+    """Mean JCT per scheduling policy over ``PROBABILITIES``."""
+    return sweep_epr_probability(
+        circuit, probabilities=PROBABILITIES, repetitions=REPETITIONS, seed=1
+    )
+
+
+def answers():
+    """This module's paper-answer ledger entries (see answer_ledger)."""
+    return {
+        f"fig18-21/{figure}": partial(jct_series, circuit)
+        for figure, circuit in DEFAULT_CIRCUITS.items()
+    }
+
+
 @pytest.mark.paper_artifact("fig18-21")
 @pytest.mark.parametrize("figure,circuit", sorted(DEFAULT_CIRCUITS.items()))
 def test_fig18_21_jct_vs_epr_probability(benchmark, figure, circuit):
-    def run():
-        return sweep_epr_probability(
-            circuit, probabilities=PROBABILITIES, repetitions=REPETITIONS, seed=1
-        )
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+    series = benchmark.pedantic(jct_series, args=(circuit,), rounds=1, iterations=1)
 
     print(f"\n{figure}: mean JCT vs EPR success probability ({circuit})")
     print(format_series(series, PROBABILITIES, x_label="p", precision=0))
@@ -50,3 +63,4 @@ def test_fig18_21_jct_vs_epr_probability(benchmark, figure, circuit):
             continue
         values = {name: series[name][index] for name in series}
         assert values["CloudQC"] <= max(values.values())
+    check_answer(f"fig18-21/{figure}", series)

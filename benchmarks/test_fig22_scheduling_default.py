@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from answer_ledger import check_answer
 from repro.analysis import (
     default_cloud,
     format_table,
@@ -35,16 +36,22 @@ REPETITIONS = 2
 SCHEDULERS = ["CloudQC", "Average", "Random", "Greedy"]
 
 
+def fig22():
+    """Mean JCT per circuit and scheduling policy (cloud seed 7)."""
+    return scheduling_comparison(
+        DEFAULT_CIRCUITS, cloud=default_cloud(seed=7), repetitions=REPETITIONS,
+        seed=1,
+    )
+
+
+def answers():
+    """This module's paper-answer ledger entries (see answer_ledger)."""
+    return {"fig22": fig22}
+
+
 @pytest.mark.paper_artifact("fig22")
 def test_fig22_scheduling_policies_default_setting(benchmark):
-    cloud = default_cloud(seed=7)
-
-    def run():
-        return scheduling_comparison(
-            DEFAULT_CIRCUITS, cloud=cloud, repetitions=REPETITIONS, seed=1
-        )
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    table = benchmark.pedantic(fig22, rounds=1, iterations=1)
 
     relative = {
         name: relative_to_baseline(row, "CloudQC") for name, row in table.items()
@@ -68,3 +75,4 @@ def test_fig22_scheduling_policies_default_setting(benchmark):
     # Across all circuits CloudQC is never the worst policy.
     for name, row in table.items():
         assert row["CloudQC"] <= max(row.values())
+    check_answer("fig22", table)

@@ -11,9 +11,11 @@ decreasing as QPUs get larger.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import pytest
 
+from answer_ledger import check_answer
 from repro.analysis import (
     default_placement_algorithms,
     format_series,
@@ -37,17 +39,30 @@ FULL_CIRCUITS = {
 }
 
 
+def overhead_series(circuit):
+    """Communication overhead per algorithm over ``QUBIT_COUNTS``."""
+    return sweep_computing_qubits(
+        circuit,
+        qubit_counts=QUBIT_COUNTS,
+        algorithms=default_placement_algorithms(fast=True),
+        seed=1,
+    )
+
+
+def answers():
+    """This module's paper-answer ledger entries (see answer_ledger)."""
+    return {
+        f"fig6-9/{figure}": partial(overhead_series, circuit)
+        for figure, circuit in DEFAULT_CIRCUITS.items()
+    }
+
+
 @pytest.mark.paper_artifact("fig6-9")
 @pytest.mark.parametrize("figure,circuit", sorted(DEFAULT_CIRCUITS.items()))
 def test_fig6_9_overhead_vs_computing_qubits(benchmark, figure, circuit):
-    algorithms = default_placement_algorithms(fast=True)
-
-    def run():
-        return sweep_computing_qubits(
-            circuit, qubit_counts=QUBIT_COUNTS, algorithms=algorithms, seed=1
-        )
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+    series = benchmark.pedantic(
+        overhead_series, args=(circuit,), rounds=1, iterations=1
+    )
 
     print(f"\n{figure}: communication overhead vs computing qubits ({circuit})")
     print(format_series(series, QUBIT_COUNTS, x_label="qubits", precision=0))
@@ -66,3 +81,4 @@ def test_fig6_9_overhead_vs_computing_qubits(benchmark, figure, circuit):
     # on the endpoints of the feasible range).
     first, last = feasible[0], feasible[-1]
     assert series["CloudQC"][last] <= series["CloudQC"][first] * 1.25
+    check_answer(f"fig6-9/{figure}", series)

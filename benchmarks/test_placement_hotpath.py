@@ -26,8 +26,8 @@ reduced cycle count by default for CI smoke runs (``--full`` restores this
 file's acceptance scale).
 
 The global job counter is realigned between the two replay legs: network
-schedulers break ties lexicographically on job ids (the documented Figs. 14-17
-quirk), so comparing two in-process runs requires both to mint the same ids.
+schedulers break ties on job-id strings, so comparing two in-process runs
+requires both to mint the same ids.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from answer_ledger import check_answer
 from repro.circuits import PAPER_CHARACTERISTICS, characterize
 from repro.circuits.library import get_circuit
 
@@ -26,11 +27,25 @@ FULL_CIRCUITS = list(PAPER_CHARACTERISTICS)
 EXACT_FAMILIES = ("ghz", "cat_", "ising", "swap_test", "knn", "cc_")
 
 
+def generate_all():
+    return {name: characterize(get_circuit(name)) for name in DEFAULT_CIRCUITS}
+
+
+def table2(generated):
+    """The ledger's Table II: qubits, two-qubit gates and depth per circuit."""
+    return {
+        name: [record.num_qubits, record.num_two_qubit_gates, record.depth]
+        for name, record in generated.items()
+    }
+
+
+def answers():
+    """This module's paper-answer ledger entries (see answer_ledger)."""
+    return {"table2": lambda: table2(generate_all())}
+
+
 @pytest.mark.paper_artifact("table2")
 def test_table2_circuit_characteristics(benchmark):
-    def generate_all():
-        return {name: characterize(get_circuit(name)) for name in DEFAULT_CIRCUITS}
-
     generated = benchmark.pedantic(generate_all, rounds=1, iterations=1)
 
     print("\nTable II: circuit characteristics (paper vs generated)")
@@ -48,3 +63,4 @@ def test_table2_circuit_characteristics(benchmark):
         else:
             ratio = record.num_two_qubit_gates / paper.num_two_qubit_gates
             assert 0.3 <= ratio <= 3.0
+    check_answer("table2", table2(generated))

@@ -68,17 +68,13 @@ class BatchManager:
         if self.config.mode is BatchMode.FIFO:
             # Stable sort: jobs with equal arrival times keep submission order.
             return sorted(jobs, key=lambda job: job.arrival_time)
-        # Known quirk, kept deliberately: the equal-metric tiebreak compares
-        # job ids lexicographically, so "job-10" sorts before "job-9" when the
-        # process-global job counter crosses a power of ten.  Changing it moves
-        # the pinned Figs. 14-17 numbers; see docs/architecture.md
-        # ("Known quirk: priority-mode tiebreak") for the re-baseline plan.
-        ordered = sorted(
+        # Equal metrics keep job-id order, numeric for the default
+        # ``job-<n>`` ids ("job-9" before "job-10"), as in the result list.
+        return sorted(
             jobs,
-            key=lambda job: (self.metric(job), job.job_id),
+            key=lambda job: (self.metric(job), len(job.job_id), job.job_id),
             reverse=self.config.descending,
         )
-        return ordered
 
     def select_next(self, jobs: Sequence[Job], now: Optional[float] = None) -> Job:
         """The single job that should be placed next."""

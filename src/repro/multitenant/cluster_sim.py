@@ -743,14 +743,12 @@ class _EventDrivenBatch:
                 and self.failure_signatures.get(job.job_id) == signature
             ):
                 # The job's last attempt failed at this exact resource
-                # version, i.e. at an identical availability map.  Skipping
-                # the re-attempt assumes such a failure is seed-independent;
-                # that holds for the capacity-driven failures that dominate a
-                # busy cloud, but CloudQC feasibility can in principle flip
-                # with the partition seed, so the equivalence is pinned
-                # empirically (A/B regression tests compare both modes
-                # result-for-result) rather than guaranteed.  Set
-                # incremental_placement=False for strict recomputation.
+                # version, i.e. at an identical availability map and fleet.
+                # CloudQC, CloudQC-BFS and Random placement give the same
+                # outcome there for every seed (a Hypothesis property in
+                # tests/test_placement_determinism.py), so it would fail
+                # again.  Other algorithms: incremental_placement=False
+                # recomputes every attempt.
                 continue
             placement = self._try_place(job, attempt_seed)
             if placement is None:
@@ -2012,10 +2010,10 @@ class MultiTenantSimulator:
         # The placement fast path: memoize placement inputs across attempts
         # and skip re-attempts whose failure signature is unchanged.  Off, the
         # simulator recomputes every attempt from scratch (the pre-fast-path
-        # behavior).  The context caches are exact; the failure-signature skip
-        # additionally assumes a failed attempt at an unchanged availability
-        # map fails for any seed, which A/B regression tests pin on the
-        # shipped workloads (see docs/architecture.md, "Placement fast path").
+        # behavior).  The context caches are exact, and so is the skip for
+        # CloudQC, CloudQC-BFS and Random placement, whose outcome at an
+        # unchanged availability map does not depend on the seed (see
+        # docs/architecture.md, "Placement fast path").
         self.incremental_placement = incremental_placement
         self.latency = latency
         self.epr_success_probability = (

@@ -9,12 +9,18 @@ For each candidate (imbalance factor, part count) pair the pipeline is:
 4. score the resulting qubit mapping with ``S = alpha / T + beta / C``.
 
 The highest-scoring mapping over all candidates is returned.
+
+CloudQC is deterministic, like the paper's METIS partitioner: partitioning
+and community detection run with one fixed seed
+(:data:`~repro.placement.context.PLACEMENT_SEED`), so a placement is a pure
+function of the circuit and the cloud's availability map, and the ``seed``
+argument of :meth:`CloudQCPlacement.place` does not change it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits import QuantumCircuit
 from ..cloud import QuantumCloud
@@ -61,15 +67,13 @@ class CloudQCPlacement(PlacementAlgorithm):
         cloud: QuantumCloud,
         required_qubits: int,
         min_qpus: int,
-        seed: Optional[int],
-        context: Optional[PlacementContext] = None,
+        context: PlacementContext,
     ) -> List[int]:
         return community_qpu_set(
             cloud,
             required_qubits,
             min_qpus=min_qpus,
             method=self.community_method,
-            seed=seed,
             context=context,
         )
 
@@ -87,13 +91,13 @@ class CloudQCPlacement(PlacementAlgorithm):
 
         ``context`` memoizes the attempt's inputs (interaction graph,
         partitions, communities, QPU sets); passing one shared context across
-        calls makes repeated attempts incremental.  Placements are identical
-        with or without a context for any fixed seed.
+        calls makes repeated attempts incremental.  ``seed`` is accepted for
+        the :class:`PlacementAlgorithm` interface and unused: placements are
+        identical for every seed, with or without a context.
         """
         if context is None:
             # An attempt-local context still dedupes work across the candidate
-            # grid (one interaction graph build, one community detection per
-            # imbalance factor instead of per (imbalance, num_parts) pair).
+            # grid (one interaction graph build, one community detection).
             context = PlacementContext()
         size = circuit.num_qubits
         if cloud.total_computing_available() < size:
@@ -121,23 +125,10 @@ class CloudQCPlacement(PlacementAlgorithm):
         candidates = self._candidate_part_counts(size, cloud)
         best: Optional[Placement] = None
 
-        for attempt, imbalance in enumerate(self.imbalance_factors):
-            # Seed derivation quirk, kept deliberately: the per-candidate seed
-            # is ``seed + attempt`` where ``attempt`` indexes the *imbalance
-            # factor* only, so all ``num_parts`` candidates at one imbalance
-            # share a seed.  The pinned golden figures were produced with this
-            # derivation, and the PlacementContext cache keys partitions and
-            # QPU sets by (num_parts, imbalance, seed) -- changing the
-            # derivation would silently re-key every cache entry.  A
-            # determinism test pins it (tests/test_cloudqc_placement.py).
+        for imbalance in self.imbalance_factors:
             for num_parts in candidates:
                 placement = self._try_placement(
-                    circuit,
-                    cloud,
-                    num_parts,
-                    imbalance,
-                    seed=None if seed is None else seed + attempt,
-                    context=context,
+                    circuit, cloud, num_parts, imbalance, context
                 )
                 if placement is None:
                     continue
@@ -168,12 +159,11 @@ class CloudQCPlacement(PlacementAlgorithm):
         cloud: QuantumCloud,
         num_parts: int,
         imbalance: float,
-        seed: Optional[int],
         context: PlacementContext,
     ) -> Optional[Placement]:
         if num_parts > circuit.num_qubits:
             return None
-        assignment = context.partition(circuit, num_parts, imbalance, seed)
+        assignment = context.partition(circuit, num_parts, imbalance)
         part_sizes: Dict[int, int] = {}
         for part in assignment.values():
             part_sizes[part] = part_sizes.get(part, 0) + 1
@@ -182,15 +172,9 @@ class CloudQCPlacement(PlacementAlgorithm):
 
         try:
             qpu_set = self._select_qpus(
-                cloud,
-                circuit.num_qubits,
-                min_qpus=len(part_sizes),
-                seed=seed,
-                context=context,
+                cloud, circuit.num_qubits, len(part_sizes), context
             )
-            quotient = context.quotient(
-                circuit, assignment, num_parts, imbalance, seed
-            )
+            quotient = context.quotient(circuit, assignment, num_parts, imbalance)
             part_to_qpu = map_partitions_to_qpus(
                 part_sizes, quotient, cloud, qpu_set, context=context
             )
@@ -224,8 +208,7 @@ class CloudQCBFSPlacement(CloudQCPlacement):
         cloud: QuantumCloud,
         required_qubits: int,
         min_qpus: int,
-        seed: Optional[int],
-        context: Optional[PlacementContext] = None,
+        context: PlacementContext,
     ) -> List[int]:
         return bfs_qpu_set(
             cloud, required_qubits, min_qpus=min_qpus, context=context

@@ -8,25 +8,24 @@ networkx form, partitions, quotient graphs) never change at all, and the
 cloud-side artifacts (resource graph, detected communities, selected QPU sets)
 only change when a job is admitted or released.
 
+Every partition and every community detection runs with one seed,
+:data:`PLACEMENT_SEED`, so each artifact is a pure function of its inputs
+(as METIS, the paper's partitioner, returns one partition per input).
 :class:`PlacementContext` memoizes both sides:
 
 * **circuit identity** keys the interaction graph and its networkx form,
   stored together with the CSR form the partitioner runs on, and
-  ``(circuit, num_parts, imbalance, seed)`` keys partition assignments and
+  ``(circuit, num_parts, imbalance)`` keys partition assignments and
   quotient graphs.  Circuits are treated as frozen while registered with a
-  context (the simulator never mutates a submitted circuit).  The simulator
-  draws a fresh seed per attempt, so in simulator runs the seed-keyed
-  entries never hit; they serve repeated same-seed attempts only.
+  context (the simulator never mutates a submitted circuit).
 * **cloud resource version** (:attr:`repro.cloud.QuantumCloud.resource_version`)
   keys community detection and QPU-set selection: equal versions imply an
   identical availability map, so the cached result is exactly what a fresh
   computation would produce.  Any ``admit``/``release`` bumps the version and
   naturally invalidates every cloud-side entry.
 
-Determinism: results are cached only under concrete integer seeds (seeded
-pipelines are pure functions of their cache key); ``seed=None`` requests draw
-fresh entropy and are never cached.  Warm-cache placements are therefore
-bit-identical to cold-cache placements -- regression tests pin this.
+Warm-cache placements are therefore bit-identical to cold-cache placements
+-- regression tests pin this.
 
 Cached objects are returned without copying on the hot path; callers must
 treat cached graphs/assignments as read-only (the placement pipeline does).
@@ -44,6 +43,10 @@ from ..community import detect_communities, graph_center, select_qpu_community
 from ..partition import CSRGraph, partition_graph
 from .mapping import QuotientAdjacency
 
+#: The seed of every ``partition_graph`` and community-detection run.  Fixed
+#: before any measurement; never tune it to a workload.
+PLACEMENT_SEED = 0
+
 
 class PlacementContext:
     """Memoizes the circuit-side and cloud-side inputs of placement attempts.
@@ -53,10 +56,11 @@ class PlacementContext:
     and clouds it has seen so the identity-based keys stay valid.
     """
 
-    #: Per-cache entry bound.  Streaming runs mint a fresh seed per attempt,
-    #: so seed-keyed caches would otherwise grow without bound; when a cache
-    #: fills up, its oldest half is dropped (insertion order).  Pruning only
-    #: ever costs recomputation -- results are unaffected.
+    #: Per-cache entry bound.  A long streaming run sees ever more circuits
+    #: and resource versions (every admit or release makes one), so the
+    #: caches would otherwise grow without bound; when a cache fills up, its
+    #: oldest half is dropped (insertion order).  Pruning only ever costs
+    #: recomputation -- results are unaffected.
     max_entries: int = 4096
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -67,11 +71,11 @@ class PlacementContext:
         self._interactions: Dict[int, InteractionGraph] = {}
         # The networkx form and the CSR form built from it share one entry.
         self._interaction_nx: Dict[int, Tuple[nx.Graph, CSRGraph]] = {}
-        self._partitions: Dict[Tuple[int, int, float, int], Dict[int, int]] = {}
-        self._quotients: Dict[Tuple[int, int, float, int], QuotientAdjacency] = {}
+        self._partitions: Dict[Tuple[int, int, float], Dict[int, int]] = {}
+        self._quotients: Dict[Tuple[int, int, float], QuotientAdjacency] = {}
         # Cloud-side caches, keyed by (cloud identity, resource version, ...).
         self._clouds: Dict[int, QuantumCloud] = {}
-        self._communities: Dict[Tuple[int, int, str, int], List[Set[Hashable]]] = {}
+        self._communities: Dict[Tuple[int, int, str], List[Set[Hashable]]] = {}
         self._qpu_sets: Dict[Tuple[Any, ...], Tuple[int, ...]] = {}
         # Topology-keyed cache (the topology never mutates, so no version).
         self._topology_centers: Dict[Tuple[int, frozenset], int] = {}
@@ -153,29 +157,20 @@ class PlacementContext:
         return forms
 
     def partition(
-        self,
-        circuit: QuantumCircuit,
-        num_parts: int,
-        imbalance: float,
-        seed: Optional[int],
+        self, circuit: QuantumCircuit, num_parts: int, imbalance: float
     ) -> Dict[int, int]:
-        """Memoized ``partition_graph`` over the circuit's interaction graph.
-
-        Unseeded requests (``seed=None``) draw fresh entropy per call and are
-        never cached, matching the uncached pipeline's sampling behavior.
-        """
-        if seed is None:
-            return partition_graph(
-                self.interaction_csr(circuit), num_parts, imbalance=imbalance, seed=None
-            )
-        key = (self._circuit_key(circuit), num_parts, float(imbalance), seed)
+        """Memoized ``partition_graph`` over the circuit's interaction graph."""
+        key = (self._circuit_key(circuit), num_parts, float(imbalance))
         cached = self._partitions.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
         assignment = partition_graph(
-            self.interaction_csr(circuit), num_parts, imbalance=imbalance, seed=seed
+            self.interaction_csr(circuit),
+            num_parts,
+            imbalance=imbalance,
+            seed=PLACEMENT_SEED,
         )
         self._store(self._partitions, key, assignment)
         return assignment
@@ -186,7 +181,6 @@ class PlacementContext:
         assignment: Dict[int, int],
         num_parts: int,
         imbalance: float,
-        seed: Optional[int],
     ) -> QuotientAdjacency:
         """Quotient adjacency of a cached partition (same key as the partition).
 
@@ -197,8 +191,8 @@ class PlacementContext:
         post-processed assignment always gets a fresh, uncached quotient, so
         the key can never alias a different partition's quotient.
         """
-        key = (self._circuit_key(circuit), num_parts, float(imbalance), seed)
-        if seed is None or self._partitions.get(key) is not assignment:
+        key = (self._circuit_key(circuit), num_parts, float(imbalance))
+        if self._partitions.get(key) is not assignment:
             return self._quotient(circuit, assignment)
         cached = self._quotients.get(key)
         if cached is not None:
@@ -225,44 +219,34 @@ class PlacementContext:
         self._clouds.setdefault(key, cloud)
         return key
 
-    def communities(
-        self, cloud: QuantumCloud, method: str, seed: int
-    ) -> List[Set[Hashable]]:
+    def communities(self, cloud: QuantumCloud, method: str) -> List[Set[Hashable]]:
         """Detected communities of the cloud's resource graph.
 
-        Keyed by ``(cloud, resource_version, method, seed)``: community
-        detection is a pure function of the resource graph and the seed, and
-        the resource graph is a pure function of the resource version.
+        Keyed by ``(cloud, resource_version, method)``: community detection
+        is a pure function of the resource graph, and the resource graph is a
+        pure function of the resource version.
         """
-        key = (self._cloud_key(cloud), cloud.resource_version, method, seed)
+        key = (self._cloud_key(cloud), cloud.resource_version, method)
         cached = self._communities.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
         communities = detect_communities(
-            cloud.resource_graph(), method=method, seed=seed
+            cloud.resource_graph(), method=method, seed=PLACEMENT_SEED
         )
         self._store(self._communities, key, communities)
         return communities
 
     def community_qpu_set(
-        self,
-        cloud: QuantumCloud,
-        required_qubits: int,
-        min_qpus: int,
-        method: str,
-        seed: Optional[int],
+        self, cloud: QuantumCloud, required_qubits: int, min_qpus: int, method: str
     ) -> List[int]:
         """Memoized community-based QPU selection.
 
         Keyed by ``(cloud, resource_version, required_qubits, min_qpus,
-        method, seed)`` as specified by the fast-path design; raising
-        selections (``CommunityError``) are not cached -- they re-raise
-        identically on recomputation anyway.
+        method)``; raising selections (``CommunityError``) are not cached --
+        they re-raise identically on recomputation anyway.
         """
-        if seed is None:
-            return self._select(cloud, required_qubits, min_qpus, method, None)
         key = (
             "community",
             self._cloud_key(cloud),
@@ -270,39 +254,24 @@ class PlacementContext:
             required_qubits,
             min_qpus,
             method,
-            seed,
         )
         cached = self._qpu_sets.get(key)
         if cached is not None:
             self.hits += 1
             return list(cached)
         self.misses += 1
-        selection = self._select(cloud, required_qubits, min_qpus, method, seed)
-        self._store(self._qpu_sets, key, tuple(selection))
-        return selection
-
-    def _select(
-        self,
-        cloud: QuantumCloud,
-        required_qubits: int,
-        min_qpus: int,
-        method: str,
-        seed: Optional[int],
-    ) -> List[int]:
-        communities = None
-        if seed is not None:
-            communities = self.communities(cloud, method, seed)
-        return [
+        selection = [
             int(qpu)
             for qpu in select_qpu_community(
                 cloud.resource_graph(),
                 required_qubits,
                 min_qpus=min_qpus,
                 method=method,
-                seed=seed,
-                communities=communities,
+                communities=self.communities(cloud, method),
             )
         ]
+        self._store(self._qpu_sets, key, tuple(selection))
+        return selection
 
     def topology_center(self, cloud: QuantumCloud, candidates) -> int:
         """Memoized ``graph_center`` of a candidate QPU set on the topology.
@@ -325,7 +294,7 @@ class PlacementContext:
     def bfs_qpu_set(
         self, cloud: QuantumCloud, required_qubits: int, min_qpus: int
     ) -> List[int]:
-        """Memoized BFS QPU selection (seedless, so the version alone keys it)."""
+        """Memoized BFS QPU selection, keyed like :meth:`community_qpu_set`."""
         from .qpu_selection import bfs_qpu_set  # local import: avoids a cycle
 
         key = (

@@ -6,22 +6,21 @@ breadth-first expansion over the cloud topology from the most resource-rich
 QPU.  Both return a list of QPU ids whose combined free computing qubits cover
 the circuit.
 
-Both selectors accept an optional :class:`~repro.placement.PlacementContext`
-that memoizes results per cloud ``resource_version`` -- repeated selections on
-an unchanged cloud (the common case across a placement attempt's candidate
-grid, and across retries of a queued job) are served from cache.
+Both selectors are deterministic and accept an optional
+:class:`~repro.placement.PlacementContext` that memoizes results per cloud
+``resource_version`` -- repeated selections on an unchanged cloud (the common
+case across a placement attempt's candidate grid, and across retries of a
+queued job) are served from cache.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from ..cloud import QuantumCloud
-from ..community import CommunityError, select_qpu_community
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .context import PlacementContext
+from ..community import CommunityError
+from .context import PlacementContext
 
 
 def community_qpu_set(
@@ -29,24 +28,15 @@ def community_qpu_set(
     required_qubits: int,
     min_qpus: int = 1,
     method: str = "louvain",
-    seed: Optional[int] = None,
-    context: Optional["PlacementContext"] = None,
+    context: Optional[PlacementContext] = None,
 ) -> List[int]:
-    """Community-detection-based QPU selection (the CloudQC default)."""
-    if context is not None:
-        return context.community_qpu_set(
-            cloud, required_qubits, min_qpus, method, seed
-        )
-    return [
-        int(qpu)
-        for qpu in select_qpu_community(
-            cloud.resource_graph(),
-            required_qubits,
-            min_qpus=min_qpus,
-            method=method,
-            seed=seed,
-        )
-    ]
+    """Community-detection-based QPU selection (the CloudQC default).
+
+    Detection runs with :data:`~repro.placement.context.PLACEMENT_SEED`, so
+    the selection is a pure function of the cloud's availability map.
+    """
+    context = PlacementContext() if context is None else context
+    return context.community_qpu_set(cloud, required_qubits, min_qpus, method)
 
 
 def bfs_qpu_set(
@@ -54,14 +44,14 @@ def bfs_qpu_set(
     required_qubits: int,
     min_qpus: int = 1,
     start: Optional[int] = None,
-    context: Optional["PlacementContext"] = None,
+    context: Optional[PlacementContext] = None,
 ) -> List[int]:
     """Breadth-first QPU selection (the CloudQC-BFS baseline).
 
     Starting from ``start`` (default: the QPU with the most free computing
     qubits), expand over quantum links until the accumulated free capacity
     covers ``required_qubits`` and at least ``min_qpus`` QPUs are selected.
-    Raises :class:`CommunityError` when the cloud cannot satisfy either the
+    Like ``random_qpu_walk``, the walk only steps onto fleet members.  Raises :class:`CommunityError` when the cloud cannot satisfy either the
     capacity requirement or the ``min_qpus`` floor.
     """
     if context is not None and start is None:
@@ -88,7 +78,7 @@ def bfs_qpu_set(
             selected.append(qpu)
             capacity += available[qpu]
         for neighbor in cloud.topology.neighbors(qpu):
-            if neighbor not in visited:
+            if neighbor not in visited and neighbor in available:
                 visited.add(neighbor)
                 queue.append(neighbor)
     if capacity < required_qubits or len(selected) < min_qpus:

@@ -71,6 +71,16 @@ class TestPriorityOrdering:
         with pytest.raises(ValueError):
             priority_batch_manager().select_next([])
 
+    def test_equal_metric_ties_follow_numeric_job_ids(self):
+        ninth = make_job(6, 4)
+        tenth = make_job(6, 4)
+        ninth.job_id, tenth.job_id = "job-9", "job-10"
+        manager = priority_batch_manager()
+        assert manager.metric(ninth) == manager.metric(tenth)
+        assert manager.order([tenth, ninth]) == [ninth, tenth]
+        descending = BatchManager(BatchManagerConfig(descending=True))
+        assert descending.order([ninth, tenth]) == [tenth, ninth]
+
 
 class TestFifoOrdering:
     def test_orders_by_arrival(self):

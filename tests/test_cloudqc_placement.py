@@ -8,6 +8,7 @@ from repro.placement import (
     CloudQCBFSPlacement,
     CloudQCPlacement,
     MappingError,
+    PlacementContext,
     RandomPlacement,
     validate_placement,
 )
@@ -105,16 +106,25 @@ class TestScaling:
         assert max(counts) <= default_cloud.num_qpus
 
 
-class TestSeedDerivationQuirk:
-    """Pin the ``seed + attempt`` derivation (attempt indexes imbalance only).
+class TestSeedFreePlacement:
+    """CloudQC is deterministic: the ``seed`` of ``place`` reaches neither the
+    partitioner nor Louvain, which run with one fixed seed (as METIS returns
+    one partition per input)."""
 
-    The PlacementContext keys partitions and QPU sets by ``(num_parts,
-    imbalance, seed)``; every ``num_parts`` candidate at one imbalance factor
-    must keep sharing the seed ``seed + attempt``, or the cache keying (and
-    the pinned golden figures) silently changes.
-    """
+    def test_place_is_independent_of_seed(self, default_cloud):
+        circuit = ghz(64)
+        for algorithm in (CloudQCPlacement(), CloudQCBFSPlacement()):
+            context = PlacementContext()
+            placements = [
+                algorithm.place(circuit, default_cloud, seed=seed, context=shared)
+                for shared in (None, context)
+                for seed in (0, 1, 100)
+            ]
+            for placement in placements[1:]:
+                assert placement.mapping == placements[0].mapping, algorithm.name
+                assert placement.score == placements[0].score, algorithm.name
 
-    def test_all_num_parts_share_the_imbalance_seed(self, default_cloud, monkeypatch):
+    def test_partition_graph_sees_one_seed(self, default_cloud, monkeypatch):
         from repro.placement import context as context_module
 
         calls = []
@@ -131,26 +141,9 @@ class TestSeedDerivationQuirk:
         algorithm.place(ghz(64), default_cloud, seed=100)
 
         assert calls, "the distributed pipeline must run (no single-QPU fit)"
-        by_imbalance = {}
-        for imbalance, num_parts, seed in calls:
-            by_imbalance.setdefault(imbalance, set()).add(seed)
-        # One seed per imbalance factor, shared by every num_parts candidate.
-        for imbalance, seeds in by_imbalance.items():
-            attempt = algorithm.imbalance_factors.index(imbalance)
-            assert seeds == {100 + attempt}, (
-                f"imbalance {imbalance}: expected shared seed {100 + attempt}, "
-                f"saw {sorted(seeds)}"
-            )
-        # Every imbalance factor explores multiple num_parts under that seed.
-        num_parts_seen = {
-            imbalance: {k for i, k, _ in calls if i == imbalance}
-            for imbalance in by_imbalance
-        }
-        assert all(len(parts) > 1 for parts in num_parts_seen.values())
-
-    def test_seeded_place_is_deterministic(self, default_cloud):
-        circuit = ghz(64)
-        first = CloudQCPlacement().place(circuit, default_cloud, seed=100)
-        second = CloudQCPlacement().place(circuit, default_cloud, seed=100)
-        assert first.mapping == second.mapping
-        assert first.score == second.score
+        # The whole (imbalance, num_parts) grid runs, all under one seed.
+        assert {imbalance for imbalance, _, _ in calls} == set(
+            algorithm.imbalance_factors
+        )
+        assert len({num_parts for _, num_parts, _ in calls}) > 1
+        assert {seed for _, _, seed in calls} == {context_module.PLACEMENT_SEED}

@@ -3,7 +3,8 @@
 Covers the invalidation contract of the version-keyed caches: ``admit`` /
 ``release`` bump ``resource_version``; a stale community/QPU-set entry is
 never served after the cloud mutates; and warm-cache placements equal
-cold-cache placements bit-for-bit under fixed seeds.
+cold-cache placements bit-for-bit.  No cache key holds a seed: partitions and
+communities always run with ``PLACEMENT_SEED``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import pytest
 
 from repro.circuits.library import get_circuit
 from repro.cloud import CloudTopology, QuantumCloud
+from repro.community import select_qpu_community
+from repro.partition import partition_graph
 from repro.placement import (
     CloudQCBFSPlacement,
     CloudQCPlacement,
@@ -19,6 +22,7 @@ from repro.placement import (
     bfs_qpu_set,
     community_qpu_set,
 )
+from repro.placement.context import PLACEMENT_SEED
 
 
 @pytest.fixture
@@ -103,42 +107,52 @@ class TestPlacementContext:
         other = get_circuit("qft_n16")
         assert context.interaction(other) is not context.interaction(circuit)
 
-    def test_partition_cached_only_with_seed(self):
+    def test_partition_cached_per_parts_and_imbalance(self):
         context = PlacementContext()
         circuit = get_circuit("qft_n16")
-        seeded = context.partition(circuit, 3, 0.3, seed=5)
-        assert context.partition(circuit, 3, 0.3, seed=5) is seeded
-        assert context.partition(circuit, 3, 0.3, None) is not context.partition(
-            circuit, 3, 0.3, None
-        )
+        first = context.partition(circuit, 3, 0.3)
+        assert context.partition(circuit, 3, 0.3) is first
+        assert context.partition(circuit, 4, 0.3) is not first
+        assert context.partition(circuit, 3, 0.05) is not first
+        assert context.stats()["partitions"] == 3
 
     def test_partition_matches_uncached(self):
-        from repro.partition import partition_graph
-
         context = PlacementContext()
         circuit = get_circuit("qft_n16")
         expected = partition_graph(
-            context.interaction_nx(circuit), 3, imbalance=0.3, seed=5
+            context.interaction_nx(circuit), 3, imbalance=0.3, seed=PLACEMENT_SEED
         )
-        assert context.partition(circuit, 3, 0.3, seed=5) == expected
+        assert context.partition(circuit, 3, 0.3) == expected
 
     def test_community_qpu_set_matches_uncached(self, cloud):
         context = PlacementContext()
-        cached = community_qpu_set(cloud, 24, min_qpus=3, seed=2, context=context)
-        uncached = community_qpu_set(cloud, 24, min_qpus=3, seed=2)
+        cached = community_qpu_set(cloud, 24, min_qpus=3, context=context)
+        uncached = select_qpu_community(
+            cloud.resource_graph(), 24, min_qpus=3, seed=PLACEMENT_SEED
+        )
         assert cached == uncached
         # A hit returns an equal list without aliasing the cached tuple.
-        again = community_qpu_set(cloud, 24, min_qpus=3, seed=2, context=context)
+        again = community_qpu_set(cloud, 24, min_qpus=3, context=context)
         assert again == cached and again is not cached
+
+    def test_attempts_with_different_seeds_share_entries(self, cloud):
+        circuit = get_circuit("ghz_n24")
+        context = PlacementContext()
+        CloudQCPlacement().place(circuit, cloud, seed=1, context=context)
+        misses = context.misses
+        CloudQCPlacement().place(circuit, cloud, seed=2, context=context)
+        # Every lookup of the second attempt hits.
+        assert context.misses == misses
+        assert context.hits > 0
 
     def test_stale_entry_never_served_after_mutation(self, cloud):
         context = PlacementContext()
-        before = community_qpu_set(cloud, 40, min_qpus=4, seed=3, context=context)
+        before = community_qpu_set(cloud, 40, min_qpus=4, context=context)
         # Drain three QPUs: the availability map changes, so the cached QPU
         # set for the old version must not be reused.
         cloud.admit("hog", {q: qpu for q, qpu in enumerate([0] * 10 + [1] * 10 + [2] * 10)})
-        after = community_qpu_set(cloud, 25, min_qpus=3, seed=3, context=context)
-        fresh = community_qpu_set(cloud, 25, min_qpus=3, seed=3)
+        after = community_qpu_set(cloud, 25, min_qpus=3, context=context)
+        fresh = community_qpu_set(cloud, 25, min_qpus=3)
         assert after == fresh
         assert not set(after) <= {0, 1, 2}  # drained QPUs cannot cover 25 qubits
 
@@ -155,16 +169,18 @@ class TestPlacementContext:
     def test_eviction_bound(self):
         context = PlacementContext(max_entries=8)
         circuit = get_circuit("qft_n16")
-        for seed in range(40):
-            context.partition(circuit, 3, 0.3, seed=seed)
+        imbalances = [0.01 * (index + 1) for index in range(40)]
+        for imbalance in imbalances:
+            context.partition(circuit, 3, imbalance)
         assert len(context._partitions) <= 8
         # Evicted entries recompute to the same value.
-        from repro.partition import partition_graph
-
         expected = partition_graph(
-            context.interaction_nx(circuit), 3, imbalance=0.3, seed=0
+            context.interaction_nx(circuit),
+            3,
+            imbalance=imbalances[0],
+            seed=PLACEMENT_SEED,
         )
-        assert context.partition(circuit, 3, 0.3, seed=0) == expected
+        assert context.partition(circuit, 3, imbalances[0]) == expected
 
     def test_hit_rate_accounting(self, cloud):
         context = PlacementContext()

@@ -27,6 +27,13 @@ class TestBfsSelection:
         selection = bfs_qpu_set(cloud, 10, start=0)
         assert 1 not in selection
 
+    def test_bfs_skips_removed_qpus(self):
+        # The static topology keeps a removed QPU's links; the walk must not
+        # step onto it (it used to raise KeyError, as random_qpu_walk did).
+        cloud = QuantumCloud(CloudTopology.line(3), computing_qubits_per_qpu=2)
+        cloud.remove_qpu(0)
+        assert bfs_qpu_set(cloud, 3, min_qpus=2) == [1, 2]
+
     def test_bfs_min_qpus(self):
         topology = CloudTopology.line(6)
         cloud = QuantumCloud(topology, computing_qubits_per_qpu=10)
@@ -77,13 +84,13 @@ class TestBfsSelection:
 
 class TestCommunitySelection:
     def test_community_covers_required_capacity(self, default_cloud):
-        selection = community_qpu_set(default_cloud, 100, min_qpus=5, seed=3)
+        selection = community_qpu_set(default_cloud, 100, min_qpus=5)
         total = sum(default_cloud.qpu(q).computing_available for q in selection)
         assert total >= 100
         assert len(selection) >= 5
 
     def test_community_selection_connected(self, default_cloud):
-        selection = community_qpu_set(default_cloud, 60, min_qpus=3, seed=3)
+        selection = community_qpu_set(default_cloud, 60, min_qpus=3)
         subgraph = default_cloud.topology.graph.subgraph(selection)
         assert nx.is_connected(subgraph)
 
