@@ -56,12 +56,13 @@ EPSILON = 0.005
 
 #: Peak-tracemalloc budget for the bounded (keep_results=False) leg of the
 #: full 100k-job replay, enforced by CI via bench_report.py --bench 6.  The
-#: measured peak is ~81 MiB -- a startup transient dominated by the upfront
-#: Job/arrival-event submission (~0.8 KiB/job, common to both legs; see
-#: docs/architecture.md "Telemetry & observability"), NOT by telemetry
-#: state, which ends the run under 1 MiB.  128 MiB leaves headroom for
-#: allocator noise; the contrast the benchmark pins is the end-of-run
-#: ratio (retained leg ends ~29x heavier than the bounded one).
+#: ~81 MiB peak in BENCH_6.json was measured when in-memory circuits were
+#: still submitted up front (~0.8 KiB/job, common to both legs); jobs are
+#: now minted at their arrival (see docs/architecture.md "Telemetry &
+#: observability").  Telemetry state ends the run under 1 MiB.  128 MiB
+#: leaves headroom for allocator noise; the contrast the benchmark pins is
+#: the end-of-run ratio (retained leg ends ~29x heavier than the bounded
+#: one).
 MEMORY_BUDGET_MB = 128.0
 
 #: Single-QPU-sized circuits (see benchmarks/test_stream_scale.py).
@@ -133,10 +134,11 @@ def _traced(fn):
     ``end_bytes`` is the memory still held when the replay finishes -- the
     number that distinguishes the bounded mode (fixed-size sink) from the
     retained mode (O(jobs) result list + controller state).  ``peak_bytes``
-    includes the startup transient: every Job and arrival event is
-    submitted up front in both modes (ids must be minted in submission
-    order for bit-identity), so the peak scales with the trace length at
-    ~1 KiB/job regardless of ``keep_results``.
+    also counts what both modes hold regardless of ``keep_results``: the
+    in-memory circuit and arrival-time lists and their sorted order index.
+    Jobs are minted at their arrival, not submitted up front; the ~81 MiB
+    peak in BENCH_6.json predates that and includes ~0.8 KiB/job of
+    upfront Job/arrival-event submission.
     """
     tracemalloc.start()
     try:
@@ -261,10 +263,11 @@ def test_sketch_percentiles_within_rank_bound(report):
 
 @pytest.mark.paper_artifact("stream-telemetry")
 def test_bounded_leg_uses_less_memory_than_retained(report):
-    # The peak is a startup transient common to both modes (upfront job
-    # submission); what keep_results=False eliminates is the O(jobs) state
-    # still held when the replay finishes -- the result list plus the
-    # controller's per-job maps.  At this reduced scale the retained run
-    # already ends several times heavier than the fixed-size sink.
+    # The peak is common to both modes (the in-memory inputs; jobs are
+    # minted at their arrival); what keep_results=False eliminates is the
+    # O(jobs) state still held when the replay finishes -- the result list
+    # plus the controller's per-job maps.  At this reduced scale the
+    # retained run already ends several times heavier than the fixed-size
+    # sink.
     assert report["retained_end_over_bounded_end"] > 3.0
     assert report["bounded_leg"]["peak_tracemalloc_mb"] <= MEMORY_BUDGET_MB

@@ -3,8 +3,8 @@
 A from-scratch Python reproduction of the ICDCS 2025 paper.  The package is
 organised bottom-up:
 
-* :mod:`repro.circuits` -- gates, circuits, dependency DAGs, interaction graphs,
-  and generators for every benchmark workload in the paper.
+* :mod:`repro.circuits` -- gates, circuits, interaction graphs, and generators
+  for every benchmark workload in the paper.
 * :mod:`repro.cloud` -- QPUs, quantum-link topologies, the multi-tenant cloud
   resource manager, jobs, and the controller.
 * :mod:`repro.partition` / :mod:`repro.community` -- the graph-partitioning and

@@ -12,12 +12,9 @@ from .experiments import (
     sweep_computing_qubits,
     sweep_epr_probability,
 )
-from .plotting import ascii_cdf_plot, ascii_line_plot, sparkline
 from .tables import format_cdf_summary, format_series, format_table
 
 __all__ = [
-    "ascii_cdf_plot",
-    "ascii_line_plot",
     "default_cloud",
     "default_placement_algorithms",
     "default_schedulers",
@@ -28,7 +25,6 @@ __all__ = [
     "multitenant_methods",
     "scheduling_comparison",
     "single_circuit_placement",
-    "sparkline",
     "sweep_communication_qubits",
     "sweep_computing_qubits",
     "sweep_epr_probability",

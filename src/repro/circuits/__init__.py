@@ -1,8 +1,7 @@
-"""Circuit substrate: gates, circuits, dependency DAGs, interaction graphs, QASM."""
+"""Circuit substrate: gates, circuits, interaction graphs, QASM."""
 
 from .gate import Gate, GateKind, classify_gate, two_qubit_pairs
 from .circuit import QuantumCircuit
-from .dag import CircuitDAG, DagNode
 from .interaction_graph import InteractionGraph, quotient_adjacency
 from .qasm import QasmError, load_qasm_file, parse_qasm, to_qasm
 from .characteristics import (
@@ -12,9 +11,7 @@ from .characteristics import (
 )
 
 __all__ = [
-    "CircuitDAG",
     "CircuitCharacteristics",
-    "DagNode",
     "Gate",
     "GateKind",
     "InteractionGraph",

@@ -2,8 +2,8 @@
 
 The circuit is an ordered list of :class:`~repro.circuits.gate.Gate` objects on
 ``num_qubits`` logical qubits.  It exposes the structural properties CloudQC's
-placement and scheduling stages consume: gate counts, depth, the two-qubit
-interaction multiset, and a dependency DAG (via :mod:`repro.circuits.dag`).
+placement and scheduling stages consume: gate counts, depth and the
+two-qubit interaction multiset.
 """
 
 from __future__ import annotations

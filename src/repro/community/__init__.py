@@ -1,4 +1,4 @@
-"""Community-detection substrate: modularity, Louvain, CNM, QPU-set selection."""
+"""Community-detection substrate: modularity, Louvain, QPU-set selection."""
 
 from .modularity import (
     modularity,
@@ -6,12 +6,10 @@ from .modularity import (
     total_edge_weight,
     weighted_degrees,
 )
-from .louvain import best_partition, louvain_communities, louvain_modularity
-from .greedy import greedy_modularity_communities
+from .louvain import louvain_communities
 from .detection import (
     CommunityError,
     community_capacity,
-    detect_communities,
     expand_community,
     graph_center,
     select_qpu_community,
@@ -19,14 +17,10 @@ from .detection import (
 
 __all__ = [
     "CommunityError",
-    "best_partition",
     "community_capacity",
-    "detect_communities",
     "expand_community",
     "graph_center",
-    "greedy_modularity_communities",
     "louvain_communities",
-    "louvain_modularity",
     "modularity",
     "modularity_from_assignment",
     "select_qpu_community",

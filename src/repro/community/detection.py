@@ -25,7 +25,6 @@ from typing import (
 
 import networkx as nx
 
-from .greedy import greedy_modularity_communities
 from .louvain import louvain_communities
 
 #: ``{node: {neighbour: edge data}}`` -- networkx's own dict-of-dicts shape.
@@ -34,17 +33,6 @@ Adjacency = Mapping[Hashable, Mapping[Hashable, Any]]
 
 class CommunityError(RuntimeError):
     """Raised when no QPU set with sufficient resources exists."""
-
-
-def detect_communities(
-    graph: nx.Graph, method: str = "louvain", seed: Optional[int] = None
-) -> List[Set[Hashable]]:
-    """Detect communities of ``graph`` with the chosen engine."""
-    if method == "louvain":
-        return louvain_communities(graph, seed=seed)
-    if method == "greedy":
-        return greedy_modularity_communities(graph)
-    raise ValueError(f"unknown community detection method {method!r}")
 
 
 def _adjacency(graph: Union[nx.Graph, Adjacency]) -> Adjacency:
@@ -199,7 +187,6 @@ def select_qpu_community(
     resource_graph: nx.Graph,
     required_qubits: int,
     min_qpus: int = 1,
-    method: str = "louvain",
     seed: Optional[int] = None,
     communities: Optional[List[Set[Hashable]]] = None,
 ) -> List[Hashable]:
@@ -210,8 +197,8 @@ def select_qpu_community(
     large enough) is returned, constrained to contain at least ``min_qpus``
     QPUs with free capacity.
 
-    ``communities`` short-circuits the detection step with a precomputed
-    result for the same ``(resource_graph, method, seed)`` triple -- the hook
+    ``communities`` short-circuits the Louvain step with a precomputed
+    result for the same ``(resource_graph, seed)`` pair -- the hook
     :class:`repro.placement.PlacementContext` uses to run community detection
     once per cloud resource version instead of once per placement candidate.
     """
@@ -226,7 +213,7 @@ def select_qpu_community(
         )
 
     if communities is None:
-        communities = detect_communities(resource_graph, method=method, seed=seed)
+        communities = louvain_communities(resource_graph, seed=seed)
     scored = sorted(
         communities,
         key=lambda c: _community_score(adjacency, available, c, required_qubits),

@@ -19,8 +19,6 @@ from typing import Dict, Hashable, List, Optional, Set
 import networkx as nx
 import numpy as np
 
-from .modularity import modularity
-
 #: One adjacency row per node: ``{neighbour index: weight}`` in insertion order.
 Rows = List[Dict[int, float]]
 
@@ -168,20 +166,3 @@ def _aggregate(rows: Rows, community: List[int], count: int) -> Rows:
             aggregated[cu][cv] = total
             aggregated[cv][cu] = total
     return aggregated
-
-
-def best_partition(
-    graph: nx.Graph, seed: Optional[int] = None, resolution: float = 1.0
-) -> Dict[Hashable, int]:
-    """Louvain partition as a node -> community-id mapping."""
-    communities = louvain_communities(graph, seed=seed, resolution=resolution)
-    assignment: Dict[Hashable, int] = {}
-    for index, community in enumerate(communities):
-        for node in community:
-            assignment[node] = index
-    return assignment
-
-
-def louvain_modularity(graph: nx.Graph, seed: Optional[int] = None) -> float:
-    """Modularity of the Louvain partition (convenience for tests/ablations)."""
-    return modularity(graph, louvain_communities(graph, seed=seed))

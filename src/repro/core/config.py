@@ -61,7 +61,6 @@ class PlacementConfig:
     score_alpha: float = 1.0
     score_beta: float = 1.0
     max_extra_parts: int = 4
-    community_method: str = "louvain"
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ from ..circuits import QuantumCircuit
 from ..cloud import QuantumCloud
 from ..multitenant import (
     BatchManager,
+    BatchManagerConfig,
+    BatchMode,
     MultiTenantSimulator,
     TenantJobResult,
-    fifo_batch_manager,
     priority_batch_manager,
 )
 from ..placement import (
@@ -85,7 +86,27 @@ class CloudQCFramework:
     def from_config(
         cls, config: FrameworkConfig, seed: Optional[int] = None
     ) -> "CloudQCFramework":
-        """Build a framework from a :class:`FrameworkConfig`."""
+        """Build a framework from a :class:`FrameworkConfig`.
+
+        Raises ``ValueError`` naming the field for an unknown ``batch_mode``
+        and for a ``scheduling.max_redundancy`` set with a policy other than
+        ``"cloudqc"``, the only scheduler it caps.
+        """
+        try:
+            batch_mode = BatchMode(config.batch_mode)
+        except ValueError:
+            raise ValueError(
+                f"unknown batch_mode {config.batch_mode!r}; "
+                f"known: {[mode.value for mode in BatchMode]}"
+            ) from None
+        if (
+            config.scheduling.max_redundancy is not None
+            and config.scheduling.policy != "cloudqc"
+        ):
+            raise ValueError(
+                "scheduling.max_redundancy applies only to the 'cloudqc' "
+                f"policy, not {config.scheduling.policy!r}"
+            )
         cloud_config = config.cloud
         if seed is not None:
             cloud_config = type(cloud_config)(
@@ -98,7 +119,6 @@ class CloudQCFramework:
             alpha=config.placement.score_alpha,
             beta=config.placement.score_beta,
             max_extra_parts=config.placement.max_extra_parts,
-            community_method=config.placement.community_method,
         ) if config.placement.algorithm in ("cloudqc", "cloudqc-bfs") else get_placement_algorithm(
             config.placement.algorithm
         )
@@ -110,16 +130,11 @@ class CloudQCFramework:
                 else {}
             ),
         )
-        manager = (
-            priority_batch_manager()
-            if config.batch_mode == "priority"
-            else fifo_batch_manager()
-        )
         return cls(
             cloud,
             placement_algorithm=placement,
             network_scheduler=scheduler,
-            batch_manager=manager,
+            batch_manager=BatchManager(BatchManagerConfig(mode=batch_mode)),
             latency=config.latency,
         )
 

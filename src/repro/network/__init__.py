@@ -1,22 +1,5 @@
-"""Quantum network substrate: probabilistic EPR generation and routing costs."""
+"""Quantum network substrate: probabilistic EPR generation."""
 
-from .epr import EPRModel, expected_attempts
-from .routing import (
-    all_pairs_cost,
-    bottleneck_communication_capacity,
-    expected_cost,
-    path_cost,
-    shortest_path,
-    widest_path_capacity,
-)
+from .epr import EPRModel
 
-__all__ = [
-    "EPRModel",
-    "all_pairs_cost",
-    "bottleneck_communication_capacity",
-    "expected_attempts",
-    "expected_cost",
-    "path_cost",
-    "shortest_path",
-    "widest_path_capacity",
-]
+__all__ = ["EPRModel"]

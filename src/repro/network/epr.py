@@ -86,10 +86,3 @@ class EPRModel:
         if qpu_a == qpu_b:
             return 0
         return self.topology.distance(qpu_a, qpu_b)
-
-
-def expected_attempts(success_probability: float) -> float:
-    """Mean attempts until one EPR pair succeeds (geometric distribution)."""
-    if not 0.0 < success_probability <= 1.0:
-        raise ValueError("success probability must lie in (0, 1]")
-    return 1.0 / success_probability

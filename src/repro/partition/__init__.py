@@ -1,4 +1,4 @@
-"""Graph partitioning substrate (METIS replacement): multilevel k-way + spectral."""
+"""Graph partitioning substrate (METIS replacement): multilevel k-way."""
 
 from .metrics import (
     assignment_to_parts,
@@ -11,13 +11,7 @@ from .metrics import (
 from .csr import CSRGraph
 from .coarsen import CoarseningLevel, coarsen, contract, heavy_edge_matching
 from .refine import rebalance, refine
-from .kway import (
-    PartitionError,
-    partition_cost,
-    partition_graph,
-    partition_sizes,
-)
-from .spectral import fiedler_bisection, spectral_partition
+from .kway import PartitionError, partition_graph
 
 __all__ = [
     "CSRGraph",
@@ -27,16 +21,12 @@ __all__ = [
     "coarsen",
     "contract",
     "edge_cut",
-    "fiedler_bisection",
     "heavy_edge_matching",
     "imbalance",
     "is_valid_partition",
     "part_weights",
-    "partition_cost",
     "partition_graph",
-    "partition_sizes",
     "parts_to_assignment",
     "rebalance",
     "refine",
-    "spectral_partition",
 ]

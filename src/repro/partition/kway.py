@@ -22,7 +22,6 @@ import networkx as nx
 
 from .coarsen import coarsen
 from .csr import CSRGraph, as_csr
-from .metrics import edge_cut, part_weights
 from .refine import _rebalance, _refine
 
 
@@ -203,15 +202,3 @@ def partition_graph(
 
     _rebalance(csr, part, order, num_parts, max_part_weight)
     return {labels[u]: part[u] for u in order}
-
-
-def partition_cost(graph: nx.Graph, assignment: Dict[Hashable, int]) -> float:
-    """Edge cut of an assignment (convenience wrapper)."""
-    return edge_cut(graph, assignment)
-
-
-def partition_sizes(
-    graph: nx.Graph, assignment: Dict[Hashable, int], num_parts: int
-) -> Dict[int, float]:
-    """Per-part node weight (convenience wrapper)."""
-    return part_weights(graph, assignment, num_parts)

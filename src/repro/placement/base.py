@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..circuits import CircuitDAG, InteractionGraph, QuantumCircuit
+from ..circuits import InteractionGraph, QuantumCircuit
 from ..cloud import QuantumCloud
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -113,9 +113,6 @@ class Placement:
     def interaction_graph(self) -> InteractionGraph:
         return InteractionGraph.from_circuit(self.circuit)
 
-    def dag(self) -> CircuitDAG:
-        return CircuitDAG(self.circuit)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Placement(circuit={self.circuit.name!r}, algorithm={self.algorithm!r}, "
@@ -161,8 +158,3 @@ def validate_placement(placement: Placement, cloud: QuantumCloud) -> None:
         raise ValueError(f"placement uses unknown QPUs {sorted(unknown)}")
     if not placement.respects_capacity(cloud):
         raise ValueError("placement exceeds per-QPU computing capacity")
-
-
-def assignment_from_parts(parts: Mapping[int, int]) -> Dict[int, int]:
-    """Identity helper kept for symmetry with the partition package."""
-    return dict(parts)

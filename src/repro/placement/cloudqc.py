@@ -47,7 +47,6 @@ class CloudQCPlacement(PlacementAlgorithm):
         alpha: float = 1.0,
         beta: float = 1.0,
         max_extra_parts: int = 4,
-        community_method: str = "louvain",
         allow_single_qpu: bool = True,
     ) -> None:
         if not imbalance_factors:
@@ -56,7 +55,6 @@ class CloudQCPlacement(PlacementAlgorithm):
         self.alpha = alpha
         self.beta = beta
         self.max_extra_parts = max_extra_parts
-        self.community_method = community_method
         self.allow_single_qpu = allow_single_qpu
 
     # ------------------------------------------------------------------
@@ -70,11 +68,7 @@ class CloudQCPlacement(PlacementAlgorithm):
         context: PlacementContext,
     ) -> List[int]:
         return community_qpu_set(
-            cloud,
-            required_qubits,
-            min_qpus=min_qpus,
-            method=self.community_method,
-            context=context,
+            cloud, required_qubits, min_qpus=min_qpus, context=context
         )
 
     # ------------------------------------------------------------------

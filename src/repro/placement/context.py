@@ -39,12 +39,12 @@ import networkx as nx
 
 from ..circuits import InteractionGraph, QuantumCircuit, quotient_adjacency
 from ..cloud import QuantumCloud
-from ..community import detect_communities, graph_center, select_qpu_community
+from ..community import graph_center, louvain_communities, select_qpu_community
 from ..partition import CSRGraph, partition_graph
 from .mapping import QuotientAdjacency
 
-#: The seed of every ``partition_graph`` and community-detection run.  Fixed
-#: before any measurement; never tune it to a workload.
+#: The seed of every ``partition_graph`` and Louvain run.  Fixed before any
+#: measurement; never tune it to a workload.
 PLACEMENT_SEED = 0
 
 
@@ -75,7 +75,7 @@ class PlacementContext:
         self._quotients: Dict[Tuple[int, int, float], QuotientAdjacency] = {}
         # Cloud-side caches, keyed by (cloud identity, resource version, ...).
         self._clouds: Dict[int, QuantumCloud] = {}
-        self._communities: Dict[Tuple[int, int, str], List[Set[Hashable]]] = {}
+        self._communities: Dict[Tuple[int, int], List[Set[Hashable]]] = {}
         self._qpu_sets: Dict[Tuple[Any, ...], Tuple[int, ...]] = {}
         # Topology-keyed cache (the topology never mutates, so no version).
         self._topology_centers: Dict[Tuple[int, frozenset], int] = {}
@@ -219,33 +219,33 @@ class PlacementContext:
         self._clouds.setdefault(key, cloud)
         return key
 
-    def communities(self, cloud: QuantumCloud, method: str) -> List[Set[Hashable]]:
-        """Detected communities of the cloud's resource graph.
+    def communities(self, cloud: QuantumCloud) -> List[Set[Hashable]]:
+        """Louvain communities of the cloud's resource graph.
 
-        Keyed by ``(cloud, resource_version, method)``: community detection
-        is a pure function of the resource graph, and the resource graph is a
+        Keyed by ``(cloud, resource_version)``: community detection is a
+        pure function of the resource graph, and the resource graph is a
         pure function of the resource version.
         """
-        key = (self._cloud_key(cloud), cloud.resource_version, method)
+        key = (self._cloud_key(cloud), cloud.resource_version)
         cached = self._communities.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        communities = detect_communities(
-            cloud.resource_graph(), method=method, seed=PLACEMENT_SEED
+        communities = louvain_communities(
+            cloud.resource_graph(), seed=PLACEMENT_SEED
         )
         self._store(self._communities, key, communities)
         return communities
 
     def community_qpu_set(
-        self, cloud: QuantumCloud, required_qubits: int, min_qpus: int, method: str
+        self, cloud: QuantumCloud, required_qubits: int, min_qpus: int
     ) -> List[int]:
         """Memoized community-based QPU selection.
 
-        Keyed by ``(cloud, resource_version, required_qubits, min_qpus,
-        method)``; raising selections (``CommunityError``) are not cached --
-        they re-raise identically on recomputation anyway.
+        Keyed by ``(cloud, resource_version, required_qubits, min_qpus)``;
+        raising selections (``CommunityError``) are not cached -- they
+        re-raise identically on recomputation anyway.
         """
         key = (
             "community",
@@ -253,7 +253,6 @@ class PlacementContext:
             cloud.resource_version,
             required_qubits,
             min_qpus,
-            method,
         )
         cached = self._qpu_sets.get(key)
         if cached is not None:
@@ -266,8 +265,7 @@ class PlacementContext:
                 cloud.resource_graph(),
                 required_qubits,
                 min_qpus=min_qpus,
-                method=method,
-                communities=self.communities(cloud, method),
+                communities=self.communities(cloud),
             )
         ]
         self._store(self._qpu_sets, key, tuple(selection))

@@ -27,16 +27,15 @@ def community_qpu_set(
     cloud: QuantumCloud,
     required_qubits: int,
     min_qpus: int = 1,
-    method: str = "louvain",
     context: Optional[PlacementContext] = None,
 ) -> List[int]:
-    """Community-detection-based QPU selection (the CloudQC default).
+    """Louvain-community QPU selection (the CloudQC default).
 
     Detection runs with :data:`~repro.placement.context.PLACEMENT_SEED`, so
     the selection is a pure function of the cloud's availability map.
     """
     context = PlacementContext() if context is None else context
-    return context.community_qpu_set(cloud, required_qubits, min_qpus, method)
+    return context.community_qpu_set(cloud, required_qubits, min_qpus)
 
 
 def bfs_qpu_set(

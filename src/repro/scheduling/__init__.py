@@ -2,9 +2,7 @@
 
 from .remote_dag import RemoteDAG, RemoteOperation
 from .priority import (
-    PRIORITY_FUNCTIONS,
     apply_priorities,
-    descendant_count_priorities,
     longest_path_priorities,
     uniform_priorities,
 )
@@ -24,7 +22,6 @@ from .schedulers import (
     RandomScheduler,
     get_scheduler,
 )
-from .proportional import WeightedProportionalScheduler
 
 __all__ = [
     "AllocationRequest",
@@ -33,15 +30,12 @@ __all__ = [
     "GreedyScheduler",
     "NETWORK_SCHEDULERS",
     "NetworkScheduler",
-    "PRIORITY_FUNCTIONS",
     "RandomScheduler",
     "RemoteDAG",
-    "WeightedProportionalScheduler",
     "RemoteOperation",
     "allocation_usage",
     "apply_priorities",
     "charge",
-    "descendant_count_priorities",
     "get_scheduler",
     "is_feasible",
     "longest_path_priorities",

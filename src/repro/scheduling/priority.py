@@ -3,8 +3,10 @@
 The paper defines the priority of a remote-DAG node as the length of the
 longest path from that node to any leaf: nodes whose failure would backlog
 many downstream gates (critical-path nodes) receive redundant EPR resources.
-This module exposes the computation standalone so schedulers and ablations can
-recompute priorities under alternative definitions.
+:class:`RemoteDAG` stores those priorities itself.  This module recomputes
+them standalone, as the reference the stored values are tested against, and
+overwrites them, e.g. with the uniform priorities of the no-priority
+ablation.
 """
 
 from __future__ import annotations
@@ -28,23 +30,6 @@ def longest_path_priorities(remote_dag: RemoteDAG) -> Dict[int, int]:
     return priorities
 
 
-def descendant_count_priorities(remote_dag: RemoteDAG) -> Dict[int, int]:
-    """Alternative priority: number of (transitive) descendants.
-
-    Captures "how many gates are blocked if this one fails" exactly rather
-    than through the longest path; used by the ablation benchmark.
-    """
-    descendants: Dict[int, set] = {}
-    for node_id in reversed(remote_dag.topological_order()):
-        operation = remote_dag.operation(node_id)
-        collected = set()
-        for successor in operation.successors:
-            collected.add(successor)
-            collected |= descendants[successor]
-        descendants[node_id] = collected
-    return {node_id: len(nodes) for node_id, nodes in descendants.items()}
-
-
 def uniform_priorities(remote_dag: RemoteDAG) -> Dict[int, int]:
     """Every operation has priority 0 (the no-priority ablation)."""
     return {node_id: 0 for node_id in remote_dag.operations}
@@ -54,10 +39,3 @@ def apply_priorities(remote_dag: RemoteDAG, priorities: Mapping[int, int]) -> No
     """Overwrite the DAG's stored priorities in place."""
     for node_id, priority in priorities.items():
         remote_dag.operation(node_id).priority = int(priority)
-
-
-PRIORITY_FUNCTIONS = {
-    "longest-path": longest_path_priorities,
-    "descendants": descendant_count_priorities,
-    "uniform": uniform_priorities,
-}

@@ -49,10 +49,11 @@ class RemoteDAG:
         """One pass over the gates, which are already in topological order.
 
         ``reach[q]`` holds the remote operations visible at qubit ``q``'s
-        latest output through local gates only -- what
-        :meth:`~repro.circuits.CircuitDAG.subgraph_closure` computes on the
-        full gate DAG.  A remote gate depends on everything that reaches its
-        operands and then becomes the only thing reaching them.
+        latest output through local gates only -- what ``subgraph_closure``
+        of the test-local gate DAG (``CircuitDAG`` in
+        ``tests/test_execution_state_equivalence.py``) computes.  A remote
+        gate depends on everything that reaches its operands and then
+        becomes the only thing reaching them.
         """
         mapping = self.mapping
         operations = self.operations

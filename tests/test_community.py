@@ -1,4 +1,4 @@
-"""Tests for modularity, Louvain/CNM community detection, and QPU selection."""
+"""Tests for modularity, Louvain community detection, and QPU selection."""
 
 import networkx as nx
 import pytest
@@ -6,12 +6,9 @@ import pytest
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.community import (
     CommunityError,
-    best_partition,
     community_capacity,
-    detect_communities,
     expand_community,
     graph_center,
-    greedy_modularity_communities,
     louvain_communities,
     modularity,
     modularity_from_assignment,
@@ -102,29 +99,6 @@ class TestDetection:
         communities = louvain_communities(graph, seed=1)
         assert set().union(*communities) == {1, 2, 3, 7, 8}
         assert {1, 2, 3} in communities
-
-    def test_best_partition_assignment_covers_graph(self):
-        graph = two_cliques()
-        assignment = best_partition(graph, seed=1)
-        assert set(assignment) == set(graph.nodes())
-
-    def test_greedy_recovers_cliques(self):
-        communities = greedy_modularity_communities(two_cliques())
-        assert len(communities) == 2
-
-    def test_greedy_weight_sensitivity(self):
-        graph = nx.path_graph(4)
-        nx.set_edge_attributes(graph, 1.0, "weight")
-        graph[1][2]["weight"] = 0.01
-        communities = greedy_modularity_communities(graph)
-        assert {frozenset(c) for c in communities} >= {frozenset({0, 1}), frozenset({2, 3})}
-
-    def test_detect_communities_dispatch(self):
-        graph = two_cliques(4)
-        assert len(detect_communities(graph, method="louvain", seed=1)) == 2
-        assert len(detect_communities(graph, method="greedy")) == 2
-        with pytest.raises(ValueError):
-            detect_communities(graph, method="nope")
 
     def test_communities_partition_the_nodes(self):
         graph = nx.erdos_renyi_graph(25, 0.2, seed=3)

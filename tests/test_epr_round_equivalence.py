@@ -8,8 +8,8 @@ sample per granted request in request order through
 ``round_success_probability``.  ``RefCloudQCScheduler`` is the CloudQC
 allocator written on ``max_allocatable``/``charge``, and ``ref_round``
 resolves every path probability independently (``nx.shortest_path`` and the
-per-link rule).  The baseline schedulers (greedy, average, random,
-proportional) run as they are on both sides.
+per-link rule).  The baseline schedulers (greedy, average, random) run as
+they are on both sides.
 
 Hypothesis drives both sides over several consecutive rounds of multi-job
 front layers (random remote DAGs and mappings, duplicate placements under
@@ -168,11 +168,6 @@ SCHEDULERS = [
     ("greedy", lambda: get_scheduler("greedy"), lambda: get_scheduler("greedy")),
     ("average", lambda: get_scheduler("average"), lambda: get_scheduler("average")),
     ("random", lambda: get_scheduler("random"), lambda: get_scheduler("random")),
-    (
-        "proportional",
-        lambda: get_scheduler("proportional"),
-        lambda: get_scheduler("proportional"),
-    ),
 ]
 
 

@@ -2,7 +2,7 @@
 
 The ``ref_*`` builders below are copies of the gate-walk formulations that
 the memoized, one-pass versions replaced: the remote DAG built from the full
-:class:`~repro.circuits.CircuitDAG` through ``subgraph_closure`` with
+gate DAG (the test-local ``CircuitDAG``) through ``subgraph_closure`` with
 Kahn-order priorities, and the per-gate walks of ``estimate_execution_time``,
 ``communication_cost`` and ``local_execution_time``.  Hypothesis drives both
 over random circuits mapped onto 1-5 QPUs, and asserts equal results: every
@@ -22,7 +22,7 @@ from typing import Dict, List, Set, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import CircuitDAG, Gate, GateKind, QuantumCircuit
+from repro.circuits import Gate, GateKind, QuantumCircuit
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.placement import estimate_execution_time
 from repro.placement.scoring import communication_cost
@@ -33,6 +33,44 @@ from repro.sim import DEFAULT_LATENCY, LatencyModel, local_execution_time
 # ----------------------------------------------------------------------
 # Reference: the gate-walk builders (kept verbatim, comments trimmed)
 # ----------------------------------------------------------------------
+class CircuitDAG:
+    """The gate-dependency DAG ``RefRemoteDAG`` builds on (nodes are gate
+    indices), reduced to the predecessor sets ``subgraph_closure`` reads."""
+
+    def __init__(self, circuit):
+        self.circuit = circuit
+        self.predecessors: Dict[int, Set[int]] = {}
+        self._build()
+
+    def _build(self):
+        last_on_qubit: Dict[int, int] = {}
+        for index, gate in enumerate(self.circuit.gates):
+            self.predecessors[index] = set()
+            for qubit in gate.qubits:
+                previous = last_on_qubit.get(qubit)
+                if previous is not None and previous != index:
+                    self.predecessors[index].add(previous)
+                last_on_qubit[qubit] = index
+
+    def subgraph_closure(self, keep) -> Dict[int, Set[int]]:
+        """``node -> kept ancestors reachable through nodes not in keep``."""
+        keep_set = set(keep)
+        closure: Dict[int, Set[int]] = {}
+        reaching: Dict[int, Set[int]] = {}
+        # Every edge runs from a lower to a higher gate index, so gate order
+        # is a topological order.
+        for index, predecessors in self.predecessors.items():
+            incoming: Set[int] = set()
+            for pred in predecessors:
+                incoming |= reaching[pred]
+            if index in keep_set:
+                closure[index] = incoming
+                reaching[index] = {index}
+            else:
+                reaching[index] = incoming
+        return closure
+
+
 class RefRemoteDAG:
     def __init__(self, circuit, mapping):
         self.circuit = circuit

@@ -1,12 +1,11 @@
-"""Tests for the extension modules: exhaustive placement, proportional scheduling,
-arrival processes, ASCII plotting, and the variational circuit generators."""
+"""Tests for the extension modules: exhaustive placement, arrival processes,
+and the variational circuit generators."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.analysis import ascii_cdf_plot, ascii_line_plot, sparkline
 from repro.circuits import InteractionGraph, QuantumCircuit
 from repro.circuits.library import get_circuit, hardware_efficient_ansatz, qaoa
 from repro.cloud import CloudTopology, QuantumCloud
@@ -22,12 +21,6 @@ from repro.placement import (
     MappingError,
     get_placement_algorithm,
     optimal_communication_cost,
-)
-from repro.scheduling import (
-    AllocationRequest,
-    WeightedProportionalScheduler,
-    get_scheduler,
-    is_feasible,
 )
 
 
@@ -88,35 +81,6 @@ class TestExhaustivePlacement:
         usage = placement.qubits_per_qpu()
         for qpu, used in usage.items():
             assert used <= tiny_cloud.qpu(qpu).computing_capacity
-
-
-class TestProportionalScheduler:
-    def _requests(self):
-        return [
-            AllocationRequest(("job", 0), 0, 1, priority=3),
-            AllocationRequest(("job", 1), 0, 1, priority=0),
-        ]
-
-    def test_feasible_and_priority_weighted(self):
-        capacity = {0: 4, 1: 4}
-        allocation = WeightedProportionalScheduler().allocate(self._requests(), capacity)
-        assert is_feasible(self._requests(), allocation, capacity)
-        assert allocation[("job", 0)] >= allocation[("job", 1)]
-
-    def test_uses_all_capacity_when_possible(self):
-        capacity = {0: 5, 1: 5}
-        allocation = WeightedProportionalScheduler().allocate(self._requests(), capacity)
-        assert sum(allocation.values()) == 5
-
-    def test_empty_requests(self):
-        assert WeightedProportionalScheduler().allocate([], {0: 3}) == {}
-
-    def test_registered(self):
-        assert get_scheduler("proportional").name == "proportional"
-
-    def test_invalid_offset(self):
-        with pytest.raises(ValueError):
-            WeightedProportionalScheduler(weight_offset=0.0)
 
 
 class TestArrivalProcesses:
@@ -209,29 +173,6 @@ class TestArrivalProcesses:
         results = simulator.run_stream(circuits, arrivals, seed=1)
         assert len(results) == 3
         assert all(r.placement_time >= r.arrival_time for r in results)
-
-
-class TestPlotting:
-    def test_line_plot_contains_axes_and_legend(self):
-        text = ascii_line_plot({"a": [1, 2, 3], "b": [3, 2, 1]}, [0, 1, 2], title="t")
-        assert "t" in text
-        assert "legend:" in text and "o=a" in text
-        assert "x: 0" in text
-
-    def test_line_plot_handles_nan_and_empty(self):
-        assert ascii_line_plot({}, []) == ""
-        text = ascii_line_plot({"a": [float("nan"), 2.0]}, [0, 1])
-        assert "legend" in text
-
-    def test_cdf_plot_renders(self):
-        text = ascii_cdf_plot({"m": [1.0, 2.0, 5.0, 10.0]}, width=20, height=5)
-        assert "legend" in text
-
-    def test_sparkline_length_and_range(self):
-        line = sparkline([1, 2, 3, 4, 5], width=5)
-        assert len(line) == 5
-        assert line[0] != line[-1]
-        assert sparkline([]) == ""
 
 
 class TestVariationalCircuits:

@@ -5,6 +5,7 @@ import pytest
 from repro import CloudQCFramework, FrameworkConfig
 from repro.circuits.library import get_circuit, ghz, ising
 from repro.core import CloudConfig, PlacementConfig, SchedulingConfig
+from repro.multitenant import BatchMode
 
 
 class TestConfig:
@@ -23,6 +24,17 @@ class TestConfig:
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
             CloudConfig(topology="torus").build_cloud()
+
+    def test_unknown_batch_mode(self):
+        with pytest.raises(ValueError, match="batch_mode 'priorty'"):
+            CloudQCFramework.from_config(FrameworkConfig(batch_mode="priorty"))
+
+    def test_max_redundancy_needs_cloudqc_policy(self):
+        config = FrameworkConfig(
+            scheduling=SchedulingConfig(policy="greedy", max_redundancy=2)
+        )
+        with pytest.raises(ValueError, match="max_redundancy"):
+            CloudQCFramework.from_config(config)
 
     def test_framework_config_defaults(self):
         config = FrameworkConfig()
@@ -48,6 +60,7 @@ class TestFrameworkConstruction:
         framework = CloudQCFramework.from_config(config)
         assert framework.placement_algorithm.name == "random"
         assert framework.network_scheduler.name == "greedy"
+        assert framework.batch_manager.config.mode is BatchMode.FIFO
 
     def test_seed_override(self):
         a = CloudQCFramework.from_config(FrameworkConfig(), seed=5)

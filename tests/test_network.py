@@ -1,19 +1,10 @@
-"""Tests for the EPR generation model and routing helpers."""
+"""Tests for the EPR generation model."""
 
 import numpy as np
 import pytest
 
-from repro.cloud import CloudTopology, QuantumCloud
-from repro.network import (
-    EPRModel,
-    all_pairs_cost,
-    bottleneck_communication_capacity,
-    expected_attempts,
-    expected_cost,
-    path_cost,
-    shortest_path,
-    widest_path_capacity,
-)
+from repro.cloud import CloudTopology
+from repro.network import EPRModel
 
 
 @pytest.fixture
@@ -63,51 +54,3 @@ class TestEprModel:
     def test_invalid_probability(self, line_topology):
         with pytest.raises(ValueError):
             EPRModel(line_topology, 0.0)
-
-    def test_expected_attempts_helper(self):
-        assert expected_attempts(0.25) == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            expected_attempts(0.0)
-
-
-class TestRouting:
-    def test_path_cost_is_hop_count(self, line_topology):
-        assert path_cost(line_topology, 0, 3) == 3
-        assert shortest_path(line_topology, 0, 3) == [0, 1, 2, 3]
-
-    def test_all_pairs_cost_shape(self, line_topology):
-        costs = all_pairs_cost(line_topology)
-        assert len(costs) == 16
-        assert costs[(0, 0)] == 0
-
-    def test_expected_cost_scales_with_probability(self, line_topology):
-        assert expected_cost(line_topology, 0, 2, 0.5) == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            expected_cost(line_topology, 0, 2, 0.0)
-
-    def test_bottleneck_capacity(self):
-        topology = CloudTopology.line(3)
-        from repro.cloud import QPU
-
-        qpus = {
-            0: QPU(0, communication_capacity=5),
-            1: QPU(1, communication_capacity=1),
-            2: QPU(2, communication_capacity=5),
-        }
-        cloud = QuantumCloud(topology, qpus=qpus)
-        assert bottleneck_communication_capacity(cloud, 0, 2) == 1
-
-    def test_widest_path_routes_around_narrow_qpu(self):
-        # Square: 0-1-2 and 0-3-2; QPU 1 is narrow, QPU 3 is wide.
-        topology = CloudTopology.from_edges(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
-        from repro.cloud import QPU
-
-        qpus = {
-            0: QPU(0, communication_capacity=4),
-            1: QPU(1, communication_capacity=1),
-            2: QPU(2, communication_capacity=4),
-            3: QPU(3, communication_capacity=4),
-        }
-        cloud = QuantumCloud(topology, qpus=qpus)
-        assert widest_path_capacity(cloud, 0, 2) == 4
-        assert widest_path_capacity(cloud, 0, 0) == 4

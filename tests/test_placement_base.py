@@ -93,4 +93,3 @@ class TestValidation:
     def test_helper_views(self, cross_circuit):
         placement = Placement(cross_circuit, {0: 0, 1: 0, 2: 1, 3: 1})
         assert placement.interaction_graph().total_weight() == 5
-        assert len(placement.dag()) == cross_circuit.num_gates

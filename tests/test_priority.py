@@ -4,10 +4,8 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.scheduling import (
-    PRIORITY_FUNCTIONS,
     RemoteDAG,
     apply_priorities,
-    descendant_count_priorities,
     longest_path_priorities,
     uniform_priorities,
 )
@@ -51,20 +49,9 @@ class TestLongestPath:
 
 
 class TestAlternativePriorities:
-    def test_descendant_count(self, diamond_remote_dag):
-        counts = descendant_count_priorities(diamond_remote_dag)
-        assert max(counts.values()) == counts[0]
-        leaves = [
-            op.node_id for op in diamond_remote_dag if not op.successors
-        ]
-        assert all(counts[leaf] == 0 for leaf in leaves)
-
     def test_uniform_is_all_zero(self, chain_remote_dag):
         assert set(uniform_priorities(chain_remote_dag).values()) == {0}
 
     def test_apply_priorities_overwrites(self, chain_remote_dag):
         apply_priorities(chain_remote_dag, uniform_priorities(chain_remote_dag))
         assert all(op.priority == 0 for op in chain_remote_dag)
-
-    def test_registry_contains_all_functions(self):
-        assert set(PRIORITY_FUNCTIONS) == {"longest-path", "descendants", "uniform"}

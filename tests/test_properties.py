@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import CircuitDAG, Gate, InteractionGraph, QuantumCircuit, parse_qasm, to_qasm
+from repro.circuits import Gate, InteractionGraph, QuantumCircuit, parse_qasm, to_qasm
 from repro.cloud import CloudTopology
 from repro.partition import edge_cut, is_valid_partition, part_weights, partition_graph
 from repro.community import louvain_communities, modularity
@@ -94,27 +94,6 @@ def test_depth_never_exceeds_gate_count(circuit):
 def test_interaction_graph_weight_equals_two_qubit_gate_count(circuit):
     graph = InteractionGraph.from_circuit(circuit)
     assert graph.total_weight() == circuit.num_two_qubit_gates
-
-
-@given(circuits())
-@settings(max_examples=40, deadline=None)
-def test_dag_layers_partition_gates_and_respect_depth(circuit):
-    dag = CircuitDAG(circuit)
-    layers = dag.layers()
-    flattened = sorted(g for layer in layers for g in layer)
-    assert flattened == list(range(circuit.num_gates))
-    assert len(layers) == circuit.depth()
-
-
-@given(circuits())
-@settings(max_examples=40, deadline=None)
-def test_topological_order_respects_dependencies(circuit):
-    dag = CircuitDAG(circuit)
-    order = dag.topological_order()
-    position = {node: index for index, node in enumerate(order)}
-    for node in dag:
-        for pred in node.predecessors:
-            assert position[pred] < position[node.index]
 
 
 @given(circuits())

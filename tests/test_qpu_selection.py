@@ -97,7 +97,3 @@ class TestCommunitySelection:
     def test_community_insufficient_capacity_raises(self, small_cloud):
         with pytest.raises(CommunityError):
             community_qpu_set(small_cloud, 1000)
-
-    def test_greedy_method_dispatch(self, default_cloud):
-        selection = community_qpu_set(default_cloud, 40, method="greedy")
-        assert sum(default_cloud.qpu(q).computing_available for q in selection) >= 40
