@@ -4,7 +4,7 @@ from .qpu import QPU, ResourceError
 from .topology import CloudTopology, TopologyError
 from .cloud import PlacementError, QuantumCloud
 from .job import Job, JobStatus
-from .controller import Controller, PlacementPolicy
+from .controller import Controller
 
 __all__ = [
     "CloudTopology",
@@ -12,7 +12,6 @@ __all__ = [
     "Job",
     "JobStatus",
     "PlacementError",
-    "PlacementPolicy",
     "QPU",
     "QuantumCloud",
     "ResourceError",

@@ -1,7 +1,7 @@
 """The quantum cloud: a set of QPUs bound to a network topology.
 
 ``QuantumCloud`` is the resource-management substrate every other layer builds
-on.  It tracks per-QPU computing/communication qubit usage, answers the
+on.  It tracks per-QPU computing-qubit usage, answers the
 "cloud status" queries the controller and placement algorithms need (Fig. 4),
 and exposes the weighted QPU graph that community detection runs on.
 """
@@ -76,30 +76,6 @@ class QuantumCloud:
                 )
                 for qpu_id in topology.qpu_ids
             }
-
-    # ------------------------------------------------------------------
-    # Convenience constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def default(
-        cls,
-        num_qpus: int = 20,
-        computing_qubits_per_qpu: int = 20,
-        communication_qubits_per_qpu: int = 5,
-        edge_probability: float = 0.3,
-        epr_success_probability: float = 0.3,
-        seed: Optional[int] = None,
-    ) -> "QuantumCloud":
-        """The paper's default cloud: 20 QPUs, 20/5 qubits, random p=0.3 topology."""
-        topology = CloudTopology.random(
-            num_qpus=num_qpus, edge_probability=edge_probability, seed=seed
-        )
-        return cls(
-            topology,
-            computing_qubits_per_qpu=computing_qubits_per_qpu,
-            communication_qubits_per_qpu=communication_qubits_per_qpu,
-            epr_success_probability=epr_success_probability,
-        )
 
     # ------------------------------------------------------------------
     # Capacity queries (the "cloud status" input of Fig. 4)

@@ -3,19 +3,19 @@
 The controller's responsibilities in the paper are (1) finding a placement for
 each submitted circuit, (2) deciding resource allocation for all placed
 circuits, and (3) monitoring QPU status.  Placement and scheduling policies are
-pluggable so that the controller can run CloudQC or any baseline.
+pluggable so that the cloud can run CloudQC or any baseline: the simulator
+computes each placement with a
+:class:`~repro.placement.base.PlacementAlgorithm` and admits it through
+:meth:`Controller.place`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..circuits import QuantumCircuit
 from .cloud import PlacementError, QuantumCloud
 from .job import Job, JobStatus
-
-#: A placement policy maps (circuit, cloud) -> qubit-to-QPU mapping.
-PlacementPolicy = Callable[[QuantumCircuit, QuantumCloud], Mapping[int, int]]
 
 
 class Controller:
@@ -59,12 +59,6 @@ class Controller:
         self.cloud.admit(job.job_id, placement)
         job.mark_placed(placement)
 
-    def place_with_policy(self, job: Job, policy: PlacementPolicy) -> Dict[int, int]:
-        """Compute a placement with ``policy`` and admit it."""
-        placement = dict(policy(job.circuit, self.cloud))
-        self.place(job, placement)
-        return placement
-
     def start(self, job: Job, time: float) -> None:
         if job.status is not JobStatus.PLACED:
             raise PlacementError(f"job {job.job_id} cannot start from {job.status.value}")
@@ -86,10 +80,6 @@ class Controller:
         if job.status in (JobStatus.PLACED, JobStatus.RUNNING):
             self.cloud.release(job.job_id)
         job.mark_failed()
-
-    def fail(self, job: Job) -> None:
-        """Deprecated spelling of :meth:`drop` (kept for API compatibility)."""
-        self.drop(job)
 
     def preempt(self, job: Job, time: float) -> None:
         """Evict a placed/running job back to PENDING, freeing its qubits.

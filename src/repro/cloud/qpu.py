@@ -1,8 +1,11 @@
 """QPU model: computing qubits plus communication qubits (Sec. III, Fig. 2).
 
 A QPU owns a fixed pool of *computing* qubits, allocated to jobs for the
-lifetime of the job, and a fixed pool of *communication* qubits, leased to the
-network scheduler one EPR-generation attempt at a time.
+lifetime of the job, and a fixed pool of *communication* qubits.  The QPU
+keeps no ledger of the latter: every EPR round,
+:func:`~repro.sim.front_layer.run_epr_round` divides each QPU's
+``communication_capacity`` afresh among the front-layer remote operations,
+and nothing is held past the round.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ class QPU:
         "communication_capacity",
         "epr_success_probability",
         "computing_used",
-        "communication_used",
         "computing_version",
     )
 
@@ -51,7 +53,6 @@ class QPU:
     communication_capacity: int = 5
     epr_success_probability: Optional[float] = None
     _computing_used: Dict[str, int] = field(default_factory=dict, repr=False)
-    _communication_used: int = field(default=0, repr=False)
     _computing_version: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
@@ -115,42 +116,6 @@ class QPU:
         return self._computing_used.get(job_id, 0)
 
     # ------------------------------------------------------------------
-    # Communication qubits (leased per EPR attempt round)
-    # ------------------------------------------------------------------
-    @property
-    def communication_used(self) -> int:
-        return self._communication_used
-
-    @property
-    def communication_available(self) -> int:
-        return self.communication_capacity - self._communication_used
-
-    def allocate_communication(self, amount: int) -> None:
-        """Reserve ``amount`` communication qubits for an EPR attempt round."""
-        if amount <= 0:
-            raise ValueError("allocation amount must be positive")
-        if amount > self.communication_available:
-            raise ResourceError(
-                f"QPU {self.qpu_id}: requested {amount} communication qubits, "
-                f"only {self.communication_available} available"
-            )
-        self._communication_used += amount
-
-    def release_communication(self, amount: int) -> None:
-        if amount < 0:
-            raise ValueError("release amount cannot be negative")
-        if amount > self._communication_used:
-            raise ResourceError(
-                f"QPU {self.qpu_id}: releasing {amount} communication qubits "
-                f"but only {self._communication_used} are in use"
-            )
-        self._communication_used -= amount
-
-    def reset_communication(self) -> None:
-        """Return every communication qubit to the pool (end of a round)."""
-        self._communication_used = 0
-
-    # ------------------------------------------------------------------
     # Utilisation metrics (objective 2 of the placement formulation)
     # ------------------------------------------------------------------
     @property
@@ -169,5 +134,4 @@ class QPU:
             "computing_capacity": self.computing_capacity,
             "computing_used": self.computing_used,
             "communication_capacity": self.communication_capacity,
-            "communication_used": self.communication_used,
         }

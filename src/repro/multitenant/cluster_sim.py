@@ -1495,7 +1495,6 @@ class _EventDrivenBatch:
                         [job_id, amount]
                         for job_id, amount in qpu._computing_used.items()
                     ],
-                    "communication_used": qpu._communication_used,
                     "computing_version": qpu._computing_version,
                 }
                 for qpu in self.cloud.qpus.values()
@@ -1714,7 +1713,6 @@ class _EventDrivenBatch:
                 job_id: int(amount)
                 for job_id, amount in entry["computing_used"]
             }
-            qpu._communication_used = int(entry["communication_used"])
             qpu._computing_version = int(entry["computing_version"])
             qpus[qpu.qpu_id] = qpu
         self.cloud.qpus = qpus
@@ -2293,21 +2291,3 @@ class MultiTenantSimulator:
         batch.telemetry = None
         batch._restore_state(state, telemetry)
         return batch.execute()
-
-    def run_batches(
-        self,
-        batches: Sequence[Sequence[QuantumCircuit]],
-        seed: Optional[int] = None,
-    ) -> List[TenantJobResult]:
-        """Run several independent batches and pool the per-job results.
-
-        With an integer ``seed``, batch ``i`` deterministically runs with seed
-        ``seed + i``.  With ``seed=None`` every batch draws fresh, independent
-        OS entropy (it does *not* silently fall back to seeds 0, 1, 2, ...),
-        so repeated unseeded runs sample genuinely different executions.
-        """
-        pooled: List[TenantJobResult] = []
-        for index, batch in enumerate(batches):
-            batch_seed = None if seed is None else seed + index
-            pooled.extend(self.run_batch(batch, seed=batch_seed))
-        return pooled

@@ -7,12 +7,18 @@ minted at their arrival event, so a million-job trace replays with peak memory
 independent of the job count (pair with ``telemetry=`` + ``keep_results=False``
 for the output side; see ``docs/architecture.md``, "Trace ingestion & replay").
 
+:class:`TraceCursor` is the one record loop.  Iterating a
+:class:`TraceReader` runs a cursor over its path or text source, and
+:meth:`TraceReader.cursor` hands out a resumable one (``tell``/``seek``) for
+path sources, which is how the simulator reads a path trace.
+
 Trace schema (version 1)
 ------------------------
 A trace is either **jsonl** or **CSV**; both carry the same record fields and
-a versioned header, and both are validated strictly on read (wrong or missing
-version, unsorted or non-finite timestamps, missing or unknown fields all
-raise :class:`TraceFormatError` naming the offending record).
+a versioned header, and both are validated strictly on read and on write
+(wrong or missing version, unsorted or non-finite timestamps, missing or
+unknown fields, line breaks in string fields all raise
+:class:`TraceFormatError` naming the offending record).
 
 jsonl: the first line is the header object, every following line one record::
 
@@ -42,8 +48,10 @@ Record fields:
     Required.  A circuit-library reference (``"<family>_n<qubits>"``, e.g.
     ``"ghz_n8"``; see :func:`repro.circuits.library.get_circuit`).  Resolved
     to a circuit object only when the job is minted at its arrival event.
+    Contains no line break (``\\n`` or ``\\r``).
 ``tenant``
-    Optional int or string tenant id, fed to per-tenant telemetry.
+    Optional int or string tenant id, fed to per-tenant telemetry.  A
+    string contains no line break (``\\n`` or ``\\r``).
 ``priority``
     Optional finite float.  Recorded submission priority (e.g. a cluster
     scheduling class).  Preserved verbatim by serialization; the replay path
@@ -91,6 +99,11 @@ TRACE_FIELDS = ("arrival_time", "circuit", "tenant", "priority", "deadline")
 _JSONL_KEYS = {"arrival_time": "t"}
 #: CSV header comment of the current version.
 _CSV_HEADER_COMMENT = f"# {TRACE_SCHEMA} v{TRACE_SCHEMA_VERSION}"
+#: Why a resumable cursor refuses a text source.
+_CURSOR_NEEDS_PATH = (
+    "a trace cursor needs a path-backed source (file objects are "
+    "single-pass and cannot be re-opened on resume)"
+)
 
 
 class TraceFormatError(ValueError):
@@ -175,6 +188,12 @@ def _check_record(
         raise _fail(
             index, line, f"tenant must be an int or string, got {tenant!r}"
         )
+    # A CSV row must be one physical line for the cursor to read it back.
+    for field_name, text in (("circuit", record.circuit), ("tenant", tenant)):
+        if isinstance(text, str) and ("\n" in text or "\r" in text):
+            raise _fail(
+                index, line, f"{field_name} contains a line break: {text!r}"
+            )
     for field_name in ("priority", "deadline"):
         value = getattr(record, field_name)
         if value is None:
@@ -252,9 +271,10 @@ class TraceReader:
     Parameters
     ----------
     source:
-        A path (format inferred from the extension) or an open text-file
-        object (``format=`` required; single-pass).  Path sources are
-        re-iterable: each ``iter()`` opens the file afresh.
+        A path (format inferred from the extension), or an open text-file
+        object or any iterable of lines (``format=`` required;
+        single-pass).  Path sources are re-iterable: each ``iter()`` opens
+        the file afresh.
     format:
         ``"jsonl"`` or ``"csv"``; inferred from a path's extension when
         omitted.
@@ -394,71 +414,6 @@ class TraceReader:
             deadline=number("deadline"),
         )
 
-    # -- iteration ------------------------------------------------------
-    def _open(self) -> IO[str]:
-        if isinstance(self.source, (str, os.PathLike)):
-            return open(self.source, "r", encoding="utf-8", newline="")
-        return self.source
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        stream = self._open()
-        owns = isinstance(self.source, (str, os.PathLike))
-        try:
-            if self.format == "jsonl":
-                yield from self._iter_jsonl(stream)
-            else:
-                yield from self._iter_csv(stream)
-        finally:
-            if owns:
-                stream.close()
-
-    def _iter_jsonl(self, stream: IO[str]) -> Iterator[TraceRecord]:
-        index = 0
-        previous: Optional[float] = None
-        first: Optional[float] = None
-        for line_no, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            if self.header is None or line_no == 1:
-                self.header = self._read_jsonl_header(line, line_no)
-                continue
-            record = self._parse_jsonl_record(line, index, line_no)
-            _check_record(record, index, line_no, previous)
-            previous = float(record.arrival_time)
-            if first is None:
-                first = previous
-            yield self._emit(record, first)
-            index += 1
-        if self.header is None:
-            raise TraceFormatError("trace is empty: missing the header line")
-
-    def _iter_csv(self, stream: IO[str]) -> Iterator[TraceRecord]:
-        comment = stream.readline()
-        if not comment:
-            raise TraceFormatError("trace is empty: missing the header line")
-        self.header = self._read_csv_header(comment, 1)
-        reader = csv.reader(stream)
-        columns: Optional[Sequence[str]] = None
-        index = 0
-        previous: Optional[float] = None
-        first: Optional[float] = None
-        for row in reader:
-            line_no = reader.line_num + 1  # +1 for the comment line
-            if not row:
-                continue
-            if columns is None:
-                columns = self._check_columns(row, line_no)
-                continue
-            record = self._parse_csv_row(row, columns, index, line_no)
-            _check_record(record, index, line_no, previous)
-            previous = float(record.arrival_time)
-            if first is None:
-                first = previous
-            yield self._emit(record, first)
-            index += 1
-        if columns is None:
-            raise TraceFormatError("trace has a header but no column row")
-
     def _check_columns(
         self, row: Sequence[str], line_no: int
     ) -> "list[str]":
@@ -488,6 +443,14 @@ class TraceReader:
             )
         )
 
+    # -- iteration ------------------------------------------------------
+    def __iter__(self) -> Iterator[TraceRecord]:
+        cursor = TraceCursor(self)
+        try:
+            yield from cursor
+        finally:
+            cursor.close()
+
     def cursor(self) -> "TraceCursor":
         """Open a byte-addressable, resumable iterator (path sources only).
 
@@ -496,32 +459,39 @@ class TraceReader:
         :meth:`TraceCursor.seek`, so a resumed replay re-opens a 10^6-job
         trace at the saved byte offset instead of rescanning the prefix.
         """
+        if not isinstance(self.source, (str, os.PathLike)):
+            raise TraceFormatError(_CURSOR_NEEDS_PATH)
         return TraceCursor(self)
 
 
 class TraceCursor:
-    """Byte-addressable iterator over a *path-backed* trace.
+    """The trace record loop: one parsed, validated record per ``next()``.
 
-    Runs the same parsing and validation as iterating the
-    :class:`TraceReader`, but reads the file in binary mode with manual
-    offset accounting, so :meth:`tell` is exact at every record boundary
-    and :meth:`seek` can re-position a fresh cursor (even in a different
-    process) to continue exactly where a previous one stopped.
+    Iterating a :class:`TraceReader` runs a cursor, so both yield the same
+    records.  A path source is read in binary mode with manual offset
+    accounting, so :meth:`tell` is exact at every record boundary and
+    :meth:`seek` can re-position a fresh cursor (even in a different
+    process) to continue exactly where a previous one stopped.  A text
+    source (an open text-file object or any iterable of lines) is read
+    one line at a time, single pass, and has no :meth:`tell` /
+    :meth:`seek`.
 
-    Restrictions vs plain iteration: the source must be a path (file
-    objects are single-pass), and CSV cells cannot contain embedded
-    newlines (every row must be one physical line -- nothing this repo's
-    writer produces violates that).
+    Every CSV row is one physical line: the schema forbids line breaks in
+    the string fields, so a record that needs a multi-line row is rejected
+    on write and on read alike.
     """
 
     def __init__(self, reader: TraceReader) -> None:
-        if not isinstance(reader.source, (str, os.PathLike)):
-            raise TraceFormatError(
-                "a trace cursor needs a path-backed source (file objects "
-                "are single-pass and cannot be re-opened on resume)"
-            )
         self._reader = reader
-        self._stream: IO[bytes] = open(reader.source, "rb")
+        source = reader.source
+        self._stream: Optional[IO[bytes]] = None
+        if isinstance(source, (str, os.PathLike)):
+            self._stream = open(source, "rb")
+        else:
+            # Shadow _read_line on this instance only, so path sources keep
+            # their branch-free per-line read.
+            self._lines = iter(source)
+            self._read_line = self._read_text_line
         self._offset = 0
         self._line_no: Optional[int] = 0
         self._index = 0
@@ -564,6 +534,7 @@ class TraceCursor:
 
     def tell(self) -> int:
         """Byte offset of the next unread record line."""
+        self._require_path()
         if self._data_offset is None:
             self._read_prologue()
         return self._offset
@@ -586,6 +557,7 @@ class TraceCursor:
         timestamps, the first record is re-read from the head of the file
         to recover it, so a bare ``seek(tell())`` round trip stays correct.
         """
+        self._require_path()
         if offset < 0:
             raise ValueError(f"seek offset cannot be negative, got {offset}")
         if self._data_offset is None:
@@ -619,7 +591,17 @@ class TraceCursor:
         finally:
             probe.close()
 
+    def _require_path(self) -> None:
+        if self._stream is None:
+            raise TraceFormatError(_CURSOR_NEEDS_PATH)
+
     # -- reading --------------------------------------------------------
+    def _read_text_line(self) -> Optional[str]:
+        line = next(self._lines, None)
+        if line is not None:
+            self._line_no += 1
+        return line
+
     def _read_line(self) -> Optional[str]:
         raw = self._stream.readline()
         if not raw:

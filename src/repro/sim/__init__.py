@@ -1,7 +1,7 @@
 """Simulation substrate: latency model, event loop, network executor."""
 
 from .latency import DEFAULT_LATENCY, LatencyModel
-from .engine import EventHandle, EventLoop, RepeatingEventHandle, SimulationError
+from .engine import EventHandle, EventLoop, SimulationError
 from .front_layer import FrontLayer, run_epr_round
 from .executor import (
     ExecutionError,
@@ -21,7 +21,6 @@ __all__ = [
     "JobExecutionResult",
     "LatencyModel",
     "NetworkExecutor",
-    "RepeatingEventHandle",
     "ScheduledJob",
     "SimulationError",
     "local_execution_time",

@@ -6,10 +6,10 @@ completions are timestamped events, so idle gaps are skipped in O(log n)
 instead of being stepped through round by round.  The engine is deliberately
 minimal (no processes or coroutines): events are callbacks executed in
 timestamp order, ties broken by insertion order so runs are deterministic.
-Events can be cancelled (:meth:`EventHandle.cancel`), moved
-(:meth:`EventLoop.reschedule`) or made recurring
-(:meth:`EventLoop.schedule_repeating`), and :meth:`EventLoop.run` accepts a
-``max_events`` guard that bounds runaway simulations.
+Events can be cancelled (:meth:`EventHandle.cancel`) or moved
+(:meth:`EventLoop.reschedule`).  The loop has no run method: its one driver
+is the simulator's run loop, which calls :meth:`EventLoop.step` once per
+event and enforces the simulator's ``max_events`` guard itself.
 
 The full engine contract and how the multi-tenant simulation flow
 (arrival -> admission -> placement pass -> EPR rounds -> completion) is built
@@ -70,43 +70,17 @@ class EventHandle:
         return self._event.executed
 
 
-class RepeatingEventHandle:
-    """Handle for a recurring event; cancelling stops all future firings."""
-
-    def __init__(self) -> None:
-        self._current: Optional[EventHandle] = None
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        self._cancelled = True
-        if self._current is not None:
-            self._current.cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def next_time(self) -> Optional[float]:
-        """Timestamp of the next firing, or ``None`` once cancelled."""
-        if self._cancelled or self._current is None:
-            return None
-        return self._current.time
-
-
 class EventLoop:
     """Deterministic discrete-event loop."""
 
     _CHECKPOINT_EXCLUDE = {
         "_queue": "heap entries hold closures; snapshot_state serializes them as the 'events' descriptor list and restore_state re-registers callbacks",
-        "_running": "transient run() flag; snapshots are only taken between events, where it is rebuilt by the next run() call",
     }
 
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, int, _QueuedEvent]] = []
         self._next_sequence = 0
         self._now = 0.0
-        self._running = False
         self.processed_events = 0
 
     def _push(
@@ -186,30 +160,6 @@ class EventLoop:
             tier=handle._event.tier,
         )
 
-    def schedule_repeating(
-        self,
-        interval: float,
-        callback: Callable[["EventLoop"], None],
-        label: str = "",
-        start_delay: Optional[float] = None,
-    ) -> RepeatingEventHandle:
-        """Run ``callback`` every ``interval`` time units until cancelled.
-
-        The first firing happens after ``start_delay`` (default: one interval).
-        """
-        if interval <= 0:
-            raise SimulationError("repeating events need a positive interval")
-        handle = RepeatingEventHandle()
-
-        def fire(loop: "EventLoop") -> None:
-            callback(loop)
-            if not handle.cancelled:
-                handle._current = loop.schedule(interval, fire, label=label)
-
-        first = interval if start_delay is None else start_delay
-        handle._current = self.schedule(first, fire, label=label)
-        return handle
-
     def peek(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` when empty."""
         queue = self._queue
@@ -230,43 +180,6 @@ class EventLoop:
             event.callback(self)
             return True
         return False
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run events until the queue drains, ``until`` is reached, or the cap hits.
-
-        Returns the final simulation time.  ``until`` may not lie in the past
-        (that would rewind the clock); an ``until`` with an already-empty queue
-        leaves the clock untouched.
-        """
-        if self._running:
-            raise SimulationError("event loop is already running")
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"cannot run until {until}, current time is {self._now}"
-            )
-        self._running = True
-        try:
-            executed = 0
-            while True:
-                next_time = self.peek()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                if max_events is not None and executed >= max_events:
-                    raise SimulationError(
-                        f"exceeded the maximum of {max_events} events"
-                    )
-                self.step()
-                executed += 1
-        finally:
-            self._running = False
-        return self._now
-
-    def pending(self) -> int:
-        """Number of not-yet-cancelled pending events."""
-        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (checkpointing support)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.circuits.library import get_circuit
+from repro.analysis import default_cloud as make_default_cloud
 from repro.cloud import CloudTopology, QuantumCloud
 
 
@@ -60,7 +61,7 @@ def small_cloud() -> QuantumCloud:
 @pytest.fixture
 def default_cloud() -> QuantumCloud:
     """The paper's default cloud with a fixed seed (20 QPUs, 20/5 qubits)."""
-    return QuantumCloud.default(seed=7)
+    return make_default_cloud(seed=7)
 
 
 @pytest.fixture

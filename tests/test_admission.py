@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.circuits.library import ghz
+from repro.analysis import default_cloud as make_default_cloud
 from repro.cloud import CloudTopology, Job, QuantumCloud
 from repro.multitenant import (
     AdmissionPolicy,
@@ -274,7 +275,7 @@ class TestAdmitAllRegression:
     def test_golden_stream_default_cloud(self):
         from repro.circuits.library import ising
 
-        cloud = QuantumCloud.default(seed=7)
+        cloud = make_default_cloud(seed=7)
         simulator = make_simulator(cloud, fifo_batch_manager())
         results = simulator.run_stream(
             [ghz(24), ising(34), ghz(16)], [0.0, 40.0, 80.0], seed=2

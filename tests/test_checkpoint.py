@@ -48,7 +48,9 @@ class TestEngineSnapshot:
 
     def test_roundtrip_executes_identically(self):
         direct_log = []
-        self._make_loop(direct_log).run()
+        direct = self._make_loop(direct_log)
+        while direct.step():
+            pass
 
         source_log = []
         state = self._make_loop(source_log).snapshot_state()
@@ -60,7 +62,8 @@ class TestEngineSnapshot:
         }
         fresh = EventLoop()
         fresh.restore_state(state, lambda label: callbacks[label])
-        fresh.run()
+        while fresh.step():
+            pass
         assert restored_log == direct_log
         assert source_log == []  # snapshotting ran nothing
 
@@ -70,7 +73,8 @@ class TestEngineSnapshot:
         fresh = EventLoop()
         log = []
         fresh.restore_state(rehydrated, lambda label: (lambda env: log.append(label)))
-        fresh.run()
+        while fresh.step():
+            pass
         assert log == ["a", "b", "c"]
 
     def test_cancelled_events_are_dropped(self):
@@ -113,7 +117,8 @@ class TestEngineSnapshot:
         )
         assert len(handles) == 2
         handles[1].cancel()  # cancel "b" through the returned handle
-        fresh.run()
+        while fresh.step():
+            pass
         assert log == ["a"]
 
 

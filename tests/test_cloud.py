@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.analysis import default_cloud as make_default_cloud
 from repro.cloud import CloudTopology, PlacementError, QuantumCloud
 
 
 class TestConstruction:
     def test_default_cloud_matches_paper_setting(self):
-        cloud = QuantumCloud.default(seed=1)
+        cloud = make_default_cloud(seed=1)
         assert cloud.num_qpus == 20
         assert cloud.total_computing_capacity() == 400
         assert cloud.total_communication_capacity() == 100

@@ -6,6 +6,7 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.circuits.library import get_circuit, ghz, ising
+from repro.analysis import default_cloud as make_default_cloud
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.multitenant import (
     ClusterSimulationError,
@@ -88,7 +89,7 @@ class TestGoldenBatchResults:
     round-stepped loop so the Figs. 14-17 numbers do not move."""
 
     def test_default_cloud_batch_values(self):
-        cloud = QuantumCloud.default(seed=7)
+        cloud = make_default_cloud(seed=7)
         results = make_simulator(cloud).run_batch(
             [ghz(24), ising(34), ghz(16)], seed=4
         )
@@ -183,29 +184,16 @@ class TestBatchOrderingEffects:
         )
         assert len(priority_results) == len(fifo_results) == 4
 
-    def test_run_batches_pools_results(self, default_cloud):
-        simulator = make_simulator(default_cloud)
-        batches = [[ghz(16), ising(34)], [ghz(24)]]
-        results = simulator.run_batches(batches, seed=3)
-        assert len(results) == 3
-
-    def test_run_batches_seeded_is_deterministic(self, default_cloud):
-        simulator = make_simulator(default_cloud)
-        batches = [[ghz(24), ising(34)], [ghz(24), ghz(16)]]
-        a = simulator.run_batches(batches, seed=3)
-        b = simulator.run_batches(batches, seed=3)
-        assert [r.completion_time for r in a] == [r.completion_time for r in b]
-
-    def test_run_batches_unseeded_draws_fresh_entropy(self):
-        # seed=None must not degrade to the fixed seeds 0, 1, 2, ...: repeated
-        # unseeded runs should sample different EPR outcomes.  Three runs of a
-        # two-batch contended workload agreeing by chance is astronomically
-        # unlikely (each remote op takes a geometric number of rounds).
+    def test_run_batch_unseeded_draws_fresh_entropy(self):
+        # seed=None must not degrade to a fixed seed: repeated unseeded runs
+        # should sample different EPR outcomes.  Three runs of a contended
+        # workload agreeing by chance is astronomically unlikely (each
+        # remote op takes a geometric number of rounds).
         cloud = contended_cloud(epr_success_probability=0.3)
         simulator = make_simulator(cloud)
-        batches = [[ghz(24), ghz(24)], [ghz(24)]]
+        circuits = [ghz(24), ghz(24), ghz(24)]
         outcomes = {
-            tuple(r.completion_time for r in simulator.run_batches(batches))
+            tuple(r.completion_time for r in simulator.run_batch(circuits))
             for _ in range(3)
         }
         assert len(outcomes) > 1

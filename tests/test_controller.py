@@ -41,17 +41,6 @@ class TestPlacementLifecycle:
         with pytest.raises(PlacementError):
             controller.place(job, {0: 2, 1: 3})
 
-    def test_place_with_policy(self, small_cloud, bell_circuit):
-        controller = Controller(small_cloud)
-        job = controller.submit(bell_circuit)
-
-        def policy(circuit, cloud):
-            return {q: 0 for q in range(circuit.num_qubits)}
-
-        mapping = controller.place_with_policy(job, policy)
-        assert mapping == {0: 0, 1: 0}
-        assert small_cloud.qpu(0).computing_available == 2
-
     def test_start_requires_placed(self, small_cloud, bell_circuit):
         controller = Controller(small_cloud)
         job = controller.submit(bell_circuit)
@@ -67,14 +56,6 @@ class TestPlacementLifecycle:
         assert job.status is JobStatus.COMPLETED
         assert small_cloud.total_computing_available() == 16
         assert controller.completed_jobs() == [job]
-
-    def test_fail_releases_resources(self, small_cloud, bell_circuit):
-        controller = Controller(small_cloud)
-        job = controller.submit(bell_circuit)
-        controller.place(job, {0: 0, 1: 0})
-        controller.fail(job)
-        assert job.status is JobStatus.FAILED
-        assert small_cloud.total_computing_available() == 16
 
 
 class TestDropTransition:

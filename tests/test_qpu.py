@@ -9,7 +9,7 @@ class TestComputingQubits:
     def test_initial_state(self):
         qpu = QPU(qpu_id=0, computing_capacity=10, communication_capacity=3)
         assert qpu.computing_available == 10
-        assert qpu.communication_available == 3
+        assert qpu.communication_capacity == 3
         assert qpu.utilization == 0.0
 
     def test_allocation_reduces_availability(self):
@@ -53,32 +53,6 @@ class TestComputingQubits:
         assert qpu.utilization == pytest.approx(3 / 8)
 
 
-class TestCommunicationQubits:
-    def test_allocate_and_release(self):
-        qpu = QPU(qpu_id=1, communication_capacity=5)
-        qpu.allocate_communication(3)
-        assert qpu.communication_available == 2
-        qpu.release_communication(2)
-        assert qpu.communication_available == 4
-
-    def test_over_allocation_raises(self):
-        qpu = QPU(qpu_id=1, communication_capacity=2)
-        with pytest.raises(ResourceError):
-            qpu.allocate_communication(3)
-
-    def test_over_release_raises(self):
-        qpu = QPU(qpu_id=1, communication_capacity=2)
-        qpu.allocate_communication(1)
-        with pytest.raises(ResourceError):
-            qpu.release_communication(2)
-
-    def test_reset_returns_all(self):
-        qpu = QPU(qpu_id=1, communication_capacity=4)
-        qpu.allocate_communication(4)
-        qpu.reset_communication()
-        assert qpu.communication_available == 4
-
-
 class TestValidation:
     def test_invalid_capacities(self):
         with pytest.raises(ValueError):
@@ -95,5 +69,4 @@ class TestValidation:
             "computing_capacity": 6,
             "computing_used": 2,
             "communication_capacity": 2,
-            "communication_used": 0,
         }

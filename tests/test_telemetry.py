@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.library import ghz, ising
+from repro.analysis import default_cloud as make_default_cloud
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.cloud import job as job_module
 from repro.multitenant import (
@@ -363,7 +364,7 @@ class TestTelemetryBitIdentity:
         # The exact pinned numbers of test_admission.py's golden stream --
         # the telemetry=None default path must reproduce PR-5 outputs.
         job_module._job_counter = itertools.count()
-        cloud = QuantumCloud.default(seed=7)
+        cloud = make_default_cloud(seed=7)
         simulator = MultiTenantSimulator(
             cloud,
             placement_algorithm=CloudQCPlacement(),

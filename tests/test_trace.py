@@ -129,6 +129,15 @@ class TestRoundTrip:
         assert list(reader) == records
         assert list(reader) == records  # second pass reopens the file
 
+    def test_reader_is_reiterable_after_a_leading_blank_line(self, tmp_path):
+        # Each pass must find the header again, not read it as record #0.
+        path = tmp_path / "t.jsonl"
+        records = [TraceRecord(float(i), "ghz_n4") for i in range(5)]
+        path.write_text("\n" + trace_to_string(records, format="jsonl"))
+        reader = TraceReader(path)
+        assert list(reader) == records
+        assert list(reader) == records
+
     def test_writer_streams_an_iterator_source(self, tmp_path):
         path = tmp_path / "t.csv"
         count = write_trace(
@@ -257,6 +266,27 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match="circuit"):
             trace_to_string([TraceRecord(0.0, "")], format="jsonl")
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize(
+        "record",
+        [
+            TraceRecord(0.0, "ghz\n_n4"),
+            TraceRecord(0.0, "ghz_n4", tenant="a\nb"),
+            TraceRecord(0.0, "ghz_n4", tenant="a\rb"),
+        ],
+        ids=["circuit-lf", "tenant-lf", "tenant-cr"],
+    )
+    def test_line_breaks_in_string_fields_rejected(self, fmt, record):
+        # A CSV row with a line break spans two physical lines, which the
+        # replay cursor cannot read back, so the schema forbids it.
+        with pytest.raises(TraceFormatError, match=r"record #0.*line break"):
+            trace_to_string([record], format=fmt)
+        line = json.dumps(
+            {"t": 0.0, "circuit": record.circuit, "tenant": record.tenant}
+        )
+        with pytest.raises(TraceFormatError, match=r"record #0 \(line 2\)"):
+            list(TraceReader(io.StringIO(jsonl_doc(line)), format="jsonl"))
+
     def test_validate_records_names_the_index(self):
         records = [TraceRecord(0.0, "ghz_n4"), TraceRecord(1.0, "ghz_n4", tenant=0.5)]
         with pytest.raises(TraceFormatError, match="record #1.*tenant"):
@@ -323,6 +353,13 @@ class TestLaziness:
         assert [record.arrival_time for record in first] == [0.0, 1.0, 2.0]
         # Header + a handful of records, not the whole 10k-line document.
         assert consumed <= 5
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_reader_accepts_a_line_generator(self, fmt):
+        records = [TraceRecord(float(i), "ghz_n4", tenant=i) for i in range(3)]
+        document = trace_to_string(records, format=fmt)
+        lines = (line for line in io.StringIO(document))
+        assert list(TraceReader(lines, format=fmt)) == records
 
     def test_cached_circuit_is_shared(self):
         assert cached_circuit("ghz_n8") is cached_circuit("ghz_n8")

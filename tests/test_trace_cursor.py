@@ -132,6 +132,17 @@ class TestCursorValidation:
         with pytest.raises(TraceFormatError, match="path"):
             TraceReader(buffer, format="jsonl").cursor()
 
+    def test_text_source_cursor_reads_without_tell_or_seek(self):
+        buffer = io.StringIO()
+        write_trace(buffer, [TraceRecord(0.0, "ghz_n5")], format="jsonl")
+        buffer.seek(0)
+        cursor = TraceCursor(TraceReader(buffer, format="jsonl"))
+        with pytest.raises(TraceFormatError, match="path"):
+            cursor.tell()
+        with pytest.raises(TraceFormatError, match="path"):
+            cursor.seek(0)
+        assert [record.arrival_time for record in cursor] == [0.0]
+
     def test_negative_seek_rejected(self, tmp_path):
         cursor = TraceReader(self._path(tmp_path)).cursor()
         with pytest.raises(ValueError):
