@@ -22,8 +22,8 @@ A class participates when it
 
 Snapshot keys are collected from every string key of every dict literal in
 the snapshot-side methods (nested dicts count: the simulator's ``counters``
-sub-dict covers ``self._submitted`` via its ``"submitted"`` key), plus the
-``_CHECKPOINT_KEYS`` entries.  For ``@dataclass`` classes the annotated
+sub-dict covers ``self._stream_index`` via its ``"stream_index"`` key), plus
+the ``_CHECKPOINT_KEYS`` entries.  For ``@dataclass`` classes the annotated
 class-level fields count as attributes.
 
 CKPT002 checks the public protocol pairs only -- a class defining both an

@@ -11,7 +11,7 @@ Snapshot layout (json, one object)::
 
     {
       "schema": "repro-checkpoint",
-      "version": 1,
+      "version": 2,
       "checksum": "sha256:<hex of the serialized state>",
       "fingerprint": { ... run configuration, compared field-by-field ... },
       "state": { ... everything needed to resume ... }
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 CHECKPOINT_SCHEMA = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -67,29 +67,24 @@ class CheckpointMismatchError(CheckpointError):
 class CheckpointConfig:
     """Where and how often ``run_stream`` writes snapshots.
 
-    ``path`` is overwritten in place (atomically) at every checkpoint, so it
-    always holds the latest snapshot.  Exactly one cadence may be given:
-    ``every_jobs`` snapshots after that many newly *finished* jobs,
-    ``every_sim_time`` after that much simulated time has elapsed since the
-    previous snapshot.  Omitting both still arms the SIGTERM/SIGINT
-    final-snapshot handler, which is useful on preemptible hosts.
+    ``path`` (a ``str`` or any path-like, stored as ``str``) is overwritten
+    in place (atomically) at every checkpoint, so it always holds the latest
+    snapshot.  ``every_jobs`` snapshots after that many newly *finished*
+    jobs.  Omitting it still arms the SIGTERM/SIGINT final-snapshot handler,
+    which is useful on preemptible hosts.
     """
 
     path: str
     every_jobs: Optional[int] = None
-    every_sim_time: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.path:
             raise CheckpointError("CheckpointConfig needs a snapshot path")
-        if self.every_jobs is not None and self.every_sim_time is not None:
-            raise CheckpointError(
-                "give either every_jobs or every_sim_time, not both"
-            )
+        # Frozen dataclass: the snapshot stores the path as json, so a
+        # path-like is normalised to the str a str argument would give.
+        object.__setattr__(self, "path", os.fspath(self.path))
         if self.every_jobs is not None and self.every_jobs < 1:
             raise CheckpointError("every_jobs must be a positive integer")
-        if self.every_sim_time is not None and self.every_sim_time <= 0:
-            raise CheckpointError("every_sim_time must be positive")
 
 
 def _state_checksum(serialized_state: str) -> str:

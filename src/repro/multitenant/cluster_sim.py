@@ -37,11 +37,11 @@ stream bit-identical to the pre-admission-control simulator.
 
 Placements are no longer irrevocable: a pluggable *preemption policy*
 (:mod:`repro.multitenant.preemption`) runs at every decision point between
-retire and place, and may evict running jobs back to the pending queue or
-migrate one onto a better placement; the work-loss model decides whether a
-resumed job keeps its banked EPR successes.  The default
-:class:`~repro.multitenant.NeverPreempt` disables the stage outright, keeping
-seeded runs bit-identical to the paper's irrevocable-placement behavior.
+retire and place, and may evict running jobs back to the pending queue; the
+work-loss model decides whether a resumed job keeps its banked EPR
+successes.  The default :class:`~repro.multitenant.NeverPreempt` disables the
+stage outright, keeping seeded runs bit-identical to the paper's
+irrevocable-placement behavior.
 
 Idle gaps (no runnable remote operation) are skipped by scheduling the next
 tick directly at the next completion time; the next arrival is always queued
@@ -61,7 +61,6 @@ from __future__ import annotations
 import math
 import os
 import signal
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -113,18 +112,14 @@ from .faults import (
     CalibrationWindow,
     FaultInjector,
     FleetEvent,
-    FleetView,
     QPUDrain,
     QPUFail,
     QPUJoin,
-    ScaleDown,
-    ScaleUp,
 )
 from .preemption import (
     WORK_LOSS_MODELS,
     ClusterView,
     JobProgress,
-    MigrateRequest,
     NeverPreempt,
     PendingJobView,
     PreemptionPolicy,
@@ -296,12 +291,11 @@ class _EventDrivenBatch:
         "faults": "fleet-event schedule is regenerated from the seeded spec on restore; already-applied events are reflected in 'cloud'",
         "incremental": "derived flag recomputed from the placement strategy in __init__",
         "placement_context": "memo of interaction graphs (networkx and CSR forms), partitions, quotients, detected communities, community/BFS QPU sets and topology centers, each a pure function of its key; a cold context after restore recomputes bit-identical placements",
-        "min_pending_qubits": "monotone pruning hint recomputed as pending jobs are re-examined; only affects work skipped, not results",
+        "min_pending_qubits": "pruning hint derived from the pending queue; _restore_state recomputes it from the restored 'pending' key",
         "preemption_enabled": "derived from the preemption policy type in __init__",
-        "resume_work": "transient restore-time work list, always empty at checkpoint instants",
-        "expiry_handles": "event-loop handles; re-registered by the resume path from the 'pending' deadlines",
-        "tick_handle": "event-loop handle; the resume path schedules a fresh tick",
-        "_autoscaler_handle": "event-loop handle; the resume path re-arms the autoscaler poll",
+        "resume_work": "derived from the simulator's work_loss in __init__",
+        "expiry_handles": "event-loop handles; _restore_state re-binds them from the restored 'engine' events labelled expire:<job id>",
+        "tick_handle": "event-loop handle; _restore_state re-binds it from the restored 'engine' event labelled tick",
         "_trace_info": "captured as the 'trace' key",
         "_arrivals": "live arrival iterator; a resumed run re-opens the trace and seeks via the 'cursor' key",
         "_trace_cursor": "captured as the 'cursor' key via TraceCursor checkpointing",
@@ -382,9 +376,6 @@ class _EventDrivenBatch:
         self.preemption_enabled = bool(self.preemption.enabled)
         self.resume_work = simulator.work_loss == "resume"
         self.progress: Dict[str, JobProgress] = {}
-        # Migration attempts are version-guarded: re-placing a job is only
-        # tried again after the availability map actually changed.
-        self.migration_attempt_versions: Dict[str, int] = {}
         self.active: Dict[str, _ActiveJob] = {}
         self.expiry_handles: Dict[str, EventHandle] = {}
         self.results: List[TenantJobResult] = []
@@ -394,35 +385,27 @@ class _EventDrivenBatch:
         self.loop = EventLoop()
         self.tenants: Dict[str, object] = {}
         # Fleet dynamics (see repro.multitenant.faults): scheduled fleet
-        # events run at FLEET_TIER (before same-instant arrivals and ticks),
-        # and an optional autoscaler is polled while the cluster is busy.
+        # events run at FLEET_TIER (before same-instant arrivals and ticks).
         # With no injector attached none of this schedules anything, so the
         # run stays bit-identical to the fault-free simulator.
         self.faults: Optional[FaultInjector] = simulator.fault_injector
         self._departed_capacities: Dict[int, Tuple[int, int]] = {}
         self._calibration_restore: Dict[int, Optional[float]] = {}
-        self._submitted = 0
-        self._dropped_jobs = 0
         self._stream_exhausted = False
-        self._autoscaler_handle: Optional[EventHandle] = None
-        if self.faults is not None:
-            self.faults.reset()
-            if not restoring:
-                # The schedule index in the label lets a checkpoint restore
-                # re-bind each event to self.faults.events[index] even when
-                # two events share a type, QPU and instant.
-                for index, fleet_event in enumerate(self.faults.events):
-                    self.loop.schedule_at(
-                        fleet_event.time,
-                        self._fleet_callback(fleet_event),
-                        label=(
-                            f"fleet:{index}:{type(fleet_event).__name__}:"
-                            f"{fleet_event.qpu_id}"
-                        ),
-                        tier=FLEET_TIER,
-                    )
-                if self.faults.autoscaler is not None:
-                    self._ensure_autoscaler(0.0)
+        if self.faults is not None and not restoring:
+            # The schedule index in the label lets a checkpoint restore
+            # re-bind each event to self.faults.events[index] even when two
+            # events share a type, QPU and instant.
+            for index, fleet_event in enumerate(self.faults.events):
+                self.loop.schedule_at(
+                    fleet_event.time,
+                    self._fleet_callback(fleet_event),
+                    label=(
+                        f"fleet:{index}:{type(fleet_event).__name__}:"
+                        f"{fleet_event.qpu_id}"
+                    ),
+                    tier=FLEET_TIER,
+                )
         # The pending-arrival cursor (see docs/architecture.md, "Lazy
         # replay: the pending-arrival cursor"): a single event walks the
         # arrival stream -- each firing mints exactly one job at its arrival
@@ -466,7 +449,6 @@ class _EventDrivenBatch:
     # ------------------------------------------------------------------
     def _handle_arrival(self, job: Job, now: float) -> None:
         """Run the arrival lifecycle for one job at its arrival instant."""
-        self._submitted += 1
         if self.telemetry is not None:
             self.telemetry.job_arrived(
                 job.job_id,
@@ -481,7 +463,6 @@ class _EventDrivenBatch:
             # rejected job never did), so the drop cannot disturb the
             # cloud's resource version.
             self.controller.drop(job)
-            self._dropped_jobs += 1
             self._record_result(
                 self._dropped_result(job, JobOutcome.REJECTED, now)
             )
@@ -511,8 +492,6 @@ class _EventDrivenBatch:
                     )
         self.resources_changed = True
         self._request_tick(now)
-        # A fresh arrival may need the autoscaler again after an idle pause.
-        self._ensure_autoscaler(now)
 
     def _schedule_next_arrival(self) -> None:
         """Advance the pending-arrival cursor to the next arrival.
@@ -614,7 +593,6 @@ class _EventDrivenBatch:
                 self._recompute_min_pending()
             self.failure_signatures.pop(job.job_id, None)
             self.controller.drop(job)
-            self._dropped_jobs += 1
             self._record_result(
                 self._dropped_result(job, JobOutcome.EXPIRED, loop.now)
             )
@@ -812,7 +790,7 @@ class _EventDrivenBatch:
     # Preemption & migration stage
     # ------------------------------------------------------------------
     def _run_preemption(self, now: float) -> List[Job]:
-        """Let the policy evict/migrate running jobs at this decision point.
+        """Let the policy evict running jobs at this decision point.
 
         Returns the evicted jobs; the caller requeues them *after* the
         placement pass so the jobs the eviction was for are seated first.
@@ -826,11 +804,8 @@ class _EventDrivenBatch:
                 continue  # stale id: already retired or evicted this pass
             if state.completion_time is not None and state.completion_time <= now:
                 continue  # effectively finished; retiring beats evicting
-            if isinstance(action, MigrateRequest):
-                self._attempt_migration(state, now)
-            else:
-                self._preempt(state, now)
-                evicted.append(state.job)
+            self._preempt(state, now)
+            evicted.append(state.job)
         return evicted
 
     def _requeue(self, evicted: Sequence[Job]) -> None:
@@ -844,14 +819,12 @@ class _EventDrivenBatch:
         self.resources_changed = True
 
     def _cluster_view(self, now: float) -> ClusterView:
-        metric = self.simulator.batch_manager.metric
         pending = tuple(
             PendingJobView(
                 job_id=job.job_id,
                 num_qubits=job.num_qubits,
                 arrival_time=job.arrival_time,
                 waited=now - job.arrival_time,
-                priority=metric(job),
                 deadline=self._deadline_of(job),
                 num_preemptions=job.num_preemptions,
             )
@@ -866,13 +839,10 @@ class _EventDrivenBatch:
                 RunningJobView(
                     job_id=job_id,
                     num_qubits=state.job.num_qubits,
-                    priority=metric(state.job),
                     start_time=state.start_time,
                     elapsed=now - state.start_time,
                     completed_ops=snapshot["completed"],
                     total_ops=snapshot["total"],
-                    num_qpus_used=state.placement.num_qpus_used,
-                    qubits_per_qpu=state.job.qubits_per_qpu(),
                 )
             )
         return ClusterView(
@@ -880,8 +850,6 @@ class _EventDrivenBatch:
             pending=pending,
             running=tuple(running),
             available=self.cloud.total_computing_available(),
-            available_per_qpu=self.cloud.available_computing(),
-            num_qpus=self.cloud.num_qpus,
         )
 
     def _deadline_of(self, job: Job) -> Optional[float]:
@@ -916,58 +884,34 @@ class _EventDrivenBatch:
         self.resources_changed = True
 
     def _attempt_migration(
-        self,
-        state: _ActiveJob,
-        now: float,
-        exclude_qpu: Optional[int] = None,
-        require_improvement: bool = True,
+        self, state: _ActiveJob, now: float, exclude_qpu: int
     ) -> bool:
-        """Try re-placing a running job; commit only on a strict improvement.
+        """Try re-placing a running job off a draining QPU; commit any fit.
 
-        The exploratory attempt runs against a what-if view of the cloud
-        minus the job's own reservation (:meth:`QuantumCloud.
-        preview_without`), which leaves the resource version -- and every
-        failure signature / placement cache keyed by it -- untouched when
-        nothing is committed.  The attempt is version-guarded so an
-        unchanged availability map is never re-explored, and it bypasses the
+        The attempt runs against a what-if view of the cloud minus the job's
+        own reservation (:meth:`QuantumCloud.preview_without`) and minus the
+        draining QPU (:meth:`QuantumCloud.without_qpu`), which leaves the
+        resource version -- and every failure signature / placement cache
+        keyed by it -- untouched when nothing is committed.  It bypasses the
         shared placement context: the preview's rolled-back versions must
-        never enter a version-keyed cache.
-
-        A QPU drain calls this with ``exclude_qpu`` (the draining QPU is
-        hidden from the exploration via :meth:`QuantumCloud.without_qpu`)
-        and ``require_improvement=False``: *any* feasible placement off the
-        QPU beats an eviction, and the version guard is skipped because the
-        drain explores a different universe than ordinary rebalancing.
+        never enter a version-keyed cache.  *Any* feasible placement off the
+        QPU beats an eviction, so the first one found is committed.
         """
         job = state.job
-        version = self.cloud.resource_version
-        if (
-            exclude_qpu is None
-            and self.migration_attempt_versions.get(job.job_id) == version
-        ):
-            return False
-        old_qpus_used = state.placement.num_qpus_used
+        # One placement seed per attempt, committed or not.
         seed = int(self.rng.integers(1 << 31))
-        with ExitStack() as stack:
-            stack.enter_context(self.cloud.preview_without(job.job_id))
-            if exclude_qpu is not None:
-                stack.enter_context(self.cloud.without_qpu(exclude_qpu))
+        with self.cloud.preview_without(job.job_id), self.cloud.without_qpu(
+            exclude_qpu
+        ):
             try:
                 placement = self.simulator.placement_algorithm.place(
                     job.circuit, self.cloud, seed=seed, context=None
                 )
             except (MappingError, CommunityError, PlacementError):
-                placement = None
-        if placement is None or (
-            require_improvement and placement.num_qpus_used >= old_qpus_used
-        ):
-            if exclude_qpu is None:
-                self.migration_attempt_versions[job.job_id] = version
-            return False
+                return False
         self._record_stop(state, now)
         self.controller.migrate(job, placement.mapping, now)
         self._activate(job, placement, now)
-        self.migration_attempt_versions.pop(job.job_id, None)
         if self.telemetry is not None:
             self.telemetry.job_migrated(job.job_id, now, job.num_migrations)
         self.resources_changed = True
@@ -997,7 +941,6 @@ class _EventDrivenBatch:
         if changed:
             self.resources_changed = True
             self._request_tick(now)
-            self._ensure_autoscaler(now)
 
     def _join_qpu(self, event: QPUJoin, now: float) -> bool:
         """A QPU comes online (join or recovery); idempotent for members."""
@@ -1016,21 +959,16 @@ class _EventDrivenBatch:
             communication = (
                 communication if communication is not None else remembered[1]
             )
-        self._add_qpu(event.qpu_id, computing, communication, now)
-        return True
-
-    def _add_qpu(
-        self, qpu_id: int, computing: int, communication: int, now: float
-    ) -> None:
         self.cloud.add_qpu(
             QPU(
-                qpu_id=qpu_id,
+                qpu_id=event.qpu_id,
                 computing_capacity=computing,
                 communication_capacity=communication,
             )
         )
         if self.telemetry is not None:
-            self.telemetry.qpu_joined(qpu_id, now)
+            self.telemetry.qpu_joined(event.qpu_id, now)
+        return True
 
     def _remove_qpu(self, qpu_id: int) -> None:
         """Take an idle QPU out of the fleet, remembering its capacities."""
@@ -1081,7 +1019,6 @@ class _EventDrivenBatch:
         self.controller.drop(job)
         del self.active[job.job_id]
         self.failure_signatures.pop(job.job_id, None)
-        self.migration_attempt_versions.pop(job.job_id, None)
         self.resources_changed = True
         self._record_result(self._dropped_result(job, JobOutcome.FAILED, now))
 
@@ -1104,9 +1041,7 @@ class _EventDrivenBatch:
             state = self.active.get(job.job_id)
             if state is None:  # pragma: no cover - defensive
                 continue
-            if self._attempt_migration(
-                state, now, exclude_qpu=qpu_id, require_improvement=False
-            ):
+            if self._attempt_migration(state, now, exclude_qpu=qpu_id):
                 migrated += 1
             else:
                 self._preempt(state, now)
@@ -1154,64 +1089,6 @@ class _EventDrivenBatch:
                 self.telemetry.calibration_ended(qpu_id, loop.now)
 
         return on_end
-
-    def _ensure_autoscaler(self, now: float) -> None:
-        """Keep exactly one autoscaler poll outstanding while work remains."""
-        if self.faults is None or self.faults.autoscaler is None:
-            return
-        handle = self._autoscaler_handle
-        if handle is not None and not handle.cancelled and not handle.executed:
-            return
-        self._autoscaler_handle = self.loop.schedule_at(
-            now + self.faults.autoscaler.interval,
-            self._autoscaler_tick,
-            label="autoscale",
-        )
-
-    def _more_arrivals(self) -> bool:
-        return self._arrivals is not None and not self._stream_exhausted
-
-    def _autoscaler_tick(self, loop: EventLoop) -> None:
-        """One autoscaler poll: decide from the live view, apply, reschedule.
-
-        Polling pauses once the cluster is quiescent (no actions taken, no
-        active jobs, no future arrivals): the decision is a deterministic
-        function of a then-static view, so a further poll could not differ.
-        An arrival or fleet event restarts the polling.
-        """
-        self._autoscaler_handle = None
-        scaler = self.faults.autoscaler
-        now = loop.now
-        view = FleetView(
-            now=now,
-            queue_depth=len(self.pending),
-            available_qubits=self.cloud.total_computing_available(),
-            total_capacity=self.cloud.total_computing_capacity(),
-            online_qpus=tuple(self.cloud.qpu_ids),
-            submitted=self._submitted,
-            dropped=self._dropped_jobs,
-        )
-        actions = scaler.decide(view)
-        changed = False
-        for action in actions:
-            if isinstance(action, ScaleUp):
-                if action.qpu_id not in self.cloud.qpus:
-                    self._add_qpu(
-                        action.qpu_id,
-                        action.computing_capacity,
-                        action.communication_capacity,
-                        now,
-                    )
-                    changed = True
-            elif isinstance(action, ScaleDown):
-                changed = self._drain_qpu(action.qpu_id, now) or changed
-        if changed:
-            self.resources_changed = True
-            self._request_tick(now)
-        if changed or self.active or self._more_arrivals() or (
-            self.pending and actions
-        ):
-            self._ensure_autoscaler(now)
 
     def _start_round(
         self, loop: EventLoop, runnable: Sequence[Tuple[str, FrontLayer]]
@@ -1270,7 +1147,6 @@ class _EventDrivenBatch:
             self.controller.jobs.pop(result.job_id, None)
             self.tenants.pop(result.job_id, None)
             self.progress.pop(result.job_id, None)
-            self.migration_attempt_versions.pop(result.job_id, None)
             self._job_capture_cache.pop(result.job_id, None)
 
     def _dropped_result(
@@ -1362,9 +1238,6 @@ class _EventDrivenBatch:
             else {
                 "on_failure": faults.on_failure,
                 "num_events": len(faults.events),
-                "autoscaler": None
-                if faults.autoscaler is None
-                else type(faults.autoscaler).__name__,
             },
             "keep_results": bool(self.keep_results),
             "telemetry": self.telemetry is not None,
@@ -1532,7 +1405,6 @@ class _EventDrivenBatch:
             else {
                 "path": checkpoint.path,
                 "every_jobs": checkpoint.every_jobs,
-                "every_sim_time": checkpoint.every_sim_time,
             },
             "trace": self._trace_info,
             "engine": self.loop.snapshot_state(),
@@ -1564,15 +1436,8 @@ class _EventDrivenBatch:
                 [job_id, list(signature)]
                 for job_id, signature in self.failure_signatures.items()
             ],
-            "migration_attempt_versions": [
-                [job_id, version]
-                for job_id, version in self.migration_attempt_versions.items()
-            ],
             "admission": self.admission.checkpoint_state(),
             "preemption": self.preemption.checkpoint_state(),
-            "autoscaler": self.faults.autoscaler.checkpoint_state()
-            if self.faults is not None and self.faults.autoscaler is not None
-            else None,
             "departed_capacities": [
                 [qpu_id, list(capacities)]
                 for qpu_id, capacities in self._departed_capacities.items()
@@ -1582,8 +1447,6 @@ class _EventDrivenBatch:
                 for qpu_id, value in self._calibration_restore.items()
             ],
             "counters": {
-                "submitted": self._submitted,
-                "dropped_jobs": self._dropped_jobs,
                 "stream_exhausted": self._stream_exhausted,
                 "stream_index": self._stream_index,
                 "last_stream_arrival": self._last_stream_arrival,
@@ -1613,8 +1476,6 @@ class _EventDrivenBatch:
             return self._tick
         if label == "epr-round":
             return self._on_round_end
-        if label == "autoscale":
-            return self._autoscaler_tick
         if label.startswith("arrive:trace["):
             return self._cursor_callback()
         if label.startswith("expire:"):
@@ -1749,18 +1610,12 @@ class _EventDrivenBatch:
             job_id: (int(signature[0]), int(signature[1]))
             for job_id, signature in state["failure_signatures"]
         }
-        self.migration_attempt_versions = {
-            job_id: int(version)
-            for job_id, version in state["migration_attempt_versions"]
-        }
         self.active = {
             saved["job_id"]: self._restore_active(saved)
             for saved in state["active"]
         }
         self.admission.restore_state(state["admission"])
         self.preemption.restore_state(state["preemption"])
-        if state["autoscaler"] is not None:
-            self.faults.autoscaler.restore_state(state["autoscaler"])
         self._departed_capacities = {
             int(qpu_id): (int(capacities[0]), int(capacities[1]))
             for qpu_id, capacities in state["departed_capacities"]
@@ -1770,8 +1625,6 @@ class _EventDrivenBatch:
             for qpu_id, value in state["calibration_restore"]
         }
         counters = state["counters"]
-        self._submitted = int(counters["submitted"])
-        self._dropped_jobs = int(counters["dropped_jobs"])
         self._stream_exhausted = bool(counters["stream_exhausted"])
         self._stream_index = int(counters["stream_index"])
         self._last_stream_arrival = (
@@ -1836,14 +1689,11 @@ class _EventDrivenBatch:
         )
         self.expiry_handles = {}
         self.tick_handle = None
-        self._autoscaler_handle = None
         for (_, _, _, label), handle in zip(
             state["engine"]["events"], handles
         ):
             if label == "tick":
                 self.tick_handle = handle
-            elif label == "autoscale":
-                self._autoscaler_handle = handle
             elif label.startswith("expire:"):
                 self.expiry_handles[label[len("expire:"):]] = handle
 
@@ -1877,7 +1727,6 @@ class _EventDrivenBatch:
                     signal.signal(signum, previous)
                 handlers = {}
         results_at_snapshot = self._results_recorded
-        time_of_snapshot = self.loop.now
         # The loop body runs once per engine event, so attribute lookups
         # are hoisted into locals -- at millions of events per replay the
         # per-iteration Python overhead is the bulk of the checkpointing
@@ -1886,7 +1735,6 @@ class _EventDrivenBatch:
         step = loop.step
         peek = loop.peek
         every_jobs = None if config is None else config.every_jobs
-        every_sim_time = None if config is None else config.every_sim_time
         try:
             while True:
                 if self._signal_flag is not None:
@@ -1912,19 +1760,17 @@ class _EventDrivenBatch:
                     ):
                         self._write_snapshot()
                         results_at_snapshot = self._results_recorded
-                        time_of_snapshot = loop.now
-                elif every_sim_time is not None:
-                    if loop.now - time_of_snapshot >= every_sim_time:
-                        self._write_snapshot()
-                        results_at_snapshot = self._results_recorded
-                        time_of_snapshot = loop.now
         finally:
             for signum, previous in handlers.items():
                 signal.signal(signum, previous)
 
     def execute(self) -> List[TenantJobResult]:
         try:
-            if self._pending_record is None and self._more_arrivals():
+            if (
+                self._pending_record is None
+                and self._arrivals is not None
+                and not self._stream_exhausted
+            ):
                 # Start the cursor; a restored run already has one pending.
                 self._schedule_next_arrival()
             self._run_loop()
@@ -1999,11 +1845,11 @@ class MultiTenantSimulator:
         self.work_loss = work_loss
         # Fleet dynamics (see repro.multitenant.faults): an optional
         # FaultInjector schedules QPU joins/drains/failures and calibration
-        # windows into every run, plus an autoscaler polled under load.
-        # fault_injector=None (the default) keeps runs bit-identical to the
-        # static-fleet simulator.  Chaos runs should pair the injector with
-        # a queueing-deadline admission policy: a job whose capacity never
-        # comes back then expires instead of stalling the run.
+        # windows into every run.  fault_injector=None (the default) keeps
+        # runs bit-identical to the static-fleet simulator.  Chaos runs
+        # should pair the injector with a queueing-deadline admission
+        # policy: a job whose capacity never comes back then expires instead
+        # of stalling the run.
         self.fault_injector = fault_injector
         # The placement fast path: memoize placement inputs across attempts
         # and skip re-attempts whose failure signature is unchanged.  Off, the
@@ -2270,9 +2116,7 @@ class MultiTenantSimulator:
                 None
                 if saved is None
                 else CheckpointConfig(
-                    path=saved["path"],
-                    every_jobs=saved["every_jobs"],
-                    every_sim_time=saved["every_sim_time"],
+                    path=saved["path"], every_jobs=saved["every_jobs"]
                 )
             )
         batch = _EventDrivenBatch(

@@ -4,35 +4,22 @@ The paper's evaluation assumes a static cloud; production fleets churn.  This
 module makes the churn schedulable: a :class:`FaultInjector` carries a
 time-sorted list of :class:`FleetEvent`\\ s -- either a *recorded schedule*
 (hand-written events, e.g. a scripted storm for a benchmark) or one generated
-from a seedable :class:`ChaosSpec` -- plus an optional :class:`Autoscaler`
-that reacts to live queue depth / rejection rate by joining standby QPUs or
-draining idle ones.
+from a seedable :class:`ChaosSpec`.
 
 The injector itself is pure data: the event semantics (migrating jobs off a
 draining QPU, losing in-flight EPR work on an abrupt failure, degrading a
 per-QPU EPR probability during calibration) live in
 :mod:`repro.multitenant.cluster_sim`, which interleaves fleet events ahead of
 same-instant arrivals and ticks (``FLEET_TIER``).  Schedule generation draws
-from its *own* RNG before the run starts and autoscaler decisions are pure
-functions of the observed fleet view, so attaching an injector never perturbs
-the simulator's RNG stream -- and a run with no injector is bit-identical to
-one without the fault layer compiled in at all.
+from its *own* RNG before the run starts, so attaching an injector never
+perturbs the simulator's RNG stream -- and a run with no injector is
+bit-identical to one without the fault layer compiled in at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,190 +184,14 @@ def generate_fleet_events(
 
 
 # ----------------------------------------------------------------------
-# Autoscaling
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FleetView:
-    """Read-only fleet snapshot an :class:`Autoscaler` decides from."""
-
-    now: float
-    queue_depth: int
-    available_qubits: int
-    total_capacity: int
-    online_qpus: Tuple[int, ...]
-    submitted: int  #: cumulative jobs submitted so far
-    dropped: int  #: cumulative rejected + expired so far
-
-    @property
-    def utilization(self) -> float:
-        if self.total_capacity == 0:
-            return 0.0
-        return 1.0 - self.available_qubits / self.total_capacity
-
-
-@dataclass(frozen=True)
-class ScaleUp:
-    """Join a standby QPU with the given capacities."""
-
-    qpu_id: int
-    computing_capacity: int
-    communication_capacity: int
-
-
-@dataclass(frozen=True)
-class ScaleDown:
-    """Gracefully drain a QPU back to the standby pool."""
-
-    qpu_id: int
-
-
-FleetAction = Union[ScaleUp, ScaleDown]
-
-
-class Autoscaler:
-    """Base class: polled every ``interval`` sim-time units while the
-    cluster is busy; returns fleet actions to apply.
-
-    ``decide`` must be a deterministic function of the view and the
-    scaler's own state (no wall clock, no RNG) so runs stay reproducible.
-    """
-
-    name = "autoscaler"
-    interval: float = 25.0
-
-    def reset(self) -> None:  # pragma: no cover - trivial default
-        """Forget per-run state; called once when a simulation starts."""
-
-    def decide(self, view: FleetView) -> List[FleetAction]:
-        raise NotImplementedError
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        """Json-serializable per-run state for a checkpoint snapshot.
-
-        Stateful scalers must capture everything :meth:`reset` clears so a
-        resumed run makes the same decisions as the uninterrupted one.
-        """
-        return {}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`checkpoint_state` output (after :meth:`reset`)."""
-
-
-class QueueDepthAutoscaler(Autoscaler):
-    """Join standby QPUs when the queue backs up, drain them when it clears.
-
-    Parameters
-    ----------
-    standby:
-        ``qpu_id -> (computing_capacity, communication_capacity)`` pool of
-        off-fleet topology nodes the scaler may bring online.  Only QPUs the
-        scaler itself joined are ever drained back, so the base fleet is
-        never scaled below its configured size.
-    scale_up_depth:
-        Join one standby QPU per poll while ``queue_depth`` is at least this.
-    scale_down_depth:
-        Drain one scaler-joined QPU per poll when ``queue_depth`` is at most
-        this and utilisation is at most ``scale_down_utilization``.
-    drop_rate_threshold:
-        Also scale up when the fraction of submissions dropped (rejected or
-        expired) since the previous poll exceeds this.
-    """
-
-    name = "queue-depth"
-
-    _CHECKPOINT_EXCLUDE = {
-        "standby": "constructor parameter, immutable after __init__; a resume rebuilds the autoscaler from config",
-        "scale_up_depth": "constructor parameter, immutable after __init__",
-        "scale_down_depth": "constructor parameter, immutable after __init__",
-        "scale_down_utilization": "constructor parameter, immutable after __init__",
-        "drop_rate_threshold": "constructor parameter, immutable after __init__",
-        "interval": "constructor parameter, immutable after __init__",
-    }
-
-    def __init__(
-        self,
-        standby: Mapping[int, Tuple[int, int]],
-        scale_up_depth: int = 4,
-        scale_down_depth: int = 0,
-        scale_down_utilization: float = 0.5,
-        drop_rate_threshold: float = 0.1,
-        interval: float = 25.0,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("autoscaler polling interval must be positive")
-        if scale_up_depth <= scale_down_depth:
-            raise ValueError("scale_up_depth must exceed scale_down_depth")
-        self.standby: Dict[int, Tuple[int, int]] = {
-            qpu_id: (int(comp), int(comm))
-            for qpu_id, (comp, comm) in sorted(standby.items())
-        }
-        self.scale_up_depth = scale_up_depth
-        self.scale_down_depth = scale_down_depth
-        self.scale_down_utilization = scale_down_utilization
-        self.drop_rate_threshold = drop_rate_threshold
-        self.interval = float(interval)
-        self.reset()
-
-    def reset(self) -> None:
-        self._joined: List[int] = []
-        self._last_submitted = 0
-        self._last_dropped = 0
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        return {
-            "joined": list(self._joined),
-            "last_submitted": self._last_submitted,
-            "last_dropped": self._last_dropped,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._joined = [int(qpu_id) for qpu_id in state["joined"]]
-        self._last_submitted = int(state["last_submitted"])
-        self._last_dropped = int(state["last_dropped"])
-
-    def _drop_rate(self, view: FleetView) -> float:
-        submitted = view.submitted - self._last_submitted
-        dropped = view.dropped - self._last_dropped
-        if submitted <= 0:
-            return 0.0
-        return dropped / submitted
-
-    def decide(self, view: FleetView) -> List[FleetAction]:
-        drop_rate = self._drop_rate(view)
-        self._last_submitted = view.submitted
-        self._last_dropped = view.dropped
-        pressure = (
-            view.queue_depth >= self.scale_up_depth
-            or drop_rate > self.drop_rate_threshold
-        )
-        if pressure:
-            for qpu_id, (comp, comm) in self.standby.items():
-                if qpu_id in view.online_qpus:
-                    continue
-                self._joined.append(qpu_id)
-                return [ScaleUp(qpu_id, comp, comm)]
-            return []
-        if (
-            view.queue_depth <= self.scale_down_depth
-            and view.utilization <= self.scale_down_utilization
-        ):
-            while self._joined:
-                qpu_id = self._joined.pop()
-                if qpu_id in view.online_qpus:
-                    return [ScaleDown(qpu_id)]
-            return []
-        return []
-
-
-# ----------------------------------------------------------------------
 # The injector
 # ----------------------------------------------------------------------
 class FaultInjector:
-    """A fleet-dynamics plan: scheduled events plus an optional autoscaler.
+    """A fleet-dynamics plan: a time-sorted schedule of fleet events.
 
     Attach one to :class:`~repro.multitenant.MultiTenantSimulator` via
     ``fault_injector=``; the simulator schedules every event at
-    :data:`FLEET_TIER` and polls the autoscaler while the cluster is busy.
+    :data:`FLEET_TIER`.
 
     Parameters
     ----------
@@ -392,15 +203,12 @@ class FaultInjector:
         back to the pending queue keeping their banked work per the
         simulator's work-loss model; ``"drop"`` removes them terminally with
         outcome ``failed``.
-    autoscaler:
-        Optional :class:`Autoscaler` driving joins/drains from live load.
     """
 
     def __init__(
         self,
         events: Iterable[FleetEvent] = (),
         on_failure: str = "requeue",
-        autoscaler: Optional[Autoscaler] = None,
     ) -> None:
         if on_failure not in FAILURE_MODES:
             raise ValueError(
@@ -413,7 +221,6 @@ class FaultInjector:
         schedule.sort(key=lambda event: event.time)
         self.events: Tuple[FleetEvent, ...] = tuple(schedule)
         self.on_failure = on_failure
-        self.autoscaler = autoscaler
 
     @classmethod
     def from_spec(
@@ -422,23 +229,15 @@ class FaultInjector:
         qpu_ids: Sequence[int],
         seed: Optional[int] = None,
         on_failure: str = "requeue",
-        autoscaler: Optional[Autoscaler] = None,
     ) -> "FaultInjector":
         """Materialise a seedable chaos scenario into an injector."""
         return cls(
             events=generate_fleet_events(spec, qpu_ids, seed=seed),
             on_failure=on_failure,
-            autoscaler=autoscaler,
         )
 
-    def reset(self) -> None:
-        """Prepare for a (re-)run: clears autoscaler per-run state."""
-        if self.autoscaler is not None:
-            self.autoscaler.reset()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        scaler = "" if self.autoscaler is None else f", autoscaler={self.autoscaler.name}"
         return (
             f"FaultInjector(events={len(self.events)}, "
-            f"on_failure={self.on_failure!r}{scaler})"
+            f"on_failure={self.on_failure!r})"
         )

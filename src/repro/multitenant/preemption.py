@@ -1,15 +1,15 @@
-"""Preemption & migration policies for the multi-tenant simulator.
+"""Preemption policies and the work-loss ledger for the multi-tenant simulator.
 
 The source paper treats a placement as irrevocable: once a job holds
 computing qubits it keeps them until completion (Sec. V-B, incoming-job
 mode).  Under bursty overload that is exactly wrong for tail latency -- a
-long-running, low-priority job can pin capacity while high-priority arrivals
-expire in the pending queue.  A *preemption policy* is the missing lever: at
-every scheduler decision point it may evict running jobs back to the pending
-queue (releasing their computing qubits) or migrate a running job onto a
-better placement, and the simulator's *work-loss model* decides whether a
-resumed job keeps its already-succeeded EPR rounds (``resume``) or redoes
-everything (``restart``).
+long-running job can pin capacity while queued arrivals expire in the
+pending queue.  A *preemption policy* is the missing lever: at every
+scheduler decision point it may evict running jobs back to the pending queue
+(releasing their computing qubits), and the simulator's *work-loss model*
+decides whether a resumed job keeps its already-succeeded EPR rounds
+(``resume``) or redoes everything (``restart``).  The same model applies to
+a job that a QPU drain live-migrates (see :mod:`repro.multitenant.faults`).
 
 Policies are deterministic decision functions over a read-only
 :class:`ClusterView`; none consume RNG, so seeded runs stay reproducible.
@@ -20,16 +20,10 @@ pre-preemption simulator -- pinned by golden and A/B regression tests.
 Built-ins:
 
 * :class:`NeverPreempt` -- the default; placements stay irrevocable.
-* :class:`PriorityPreempt` -- a queued high-priority job (smaller Eq. 11
-  metric under the default batch-manager convention) may evict enough
-  strictly-lower-priority running jobs to fit.
 * :class:`DeadlineRescue` -- when an admitted job is about to expire
   (queueing deadline within ``horizon``), evict the cheapest victims --
   least elapsed work first -- so the rescue costs as little wasted work as
   possible.
-* :class:`MigrateToRebalance` -- nominate scattered running jobs for
-  re-placement onto freed QPUs; the simulator commits a migration only when
-  the fresh placement uses strictly fewer QPUs.
 
 Where preemption sits in the event-driven flow (decision point ordering,
 rescue-check events, the work-loss model) is documented in
@@ -39,7 +33,7 @@ rescue-check events, the work-loss model) is documented in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cloud import Job
 
@@ -48,28 +42,13 @@ WORK_LOSS_MODELS = ("resume", "restart")
 
 
 # ----------------------------------------------------------------------
-# Actions a policy can request
+# The action a policy can request
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PreemptRequest:
     """Evict a running job back to the pending queue."""
 
     job_id: str
-
-
-@dataclass(frozen=True)
-class MigrateRequest:
-    """Ask the simulator to try re-placing a running job.
-
-    The simulator attempts a fresh placement against the cloud *minus* the
-    job's own reservation and commits only if the result uses strictly fewer
-    QPUs, so a migrate request is a hint, never an obligation.
-    """
-
-    job_id: str
-
-
-PreemptionAction = Union[PreemptRequest, MigrateRequest]
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +62,6 @@ class PendingJobView:
     num_qubits: int
     arrival_time: float
     waited: float
-    priority: float
     #: Absolute expiry time from the admission policy, or None.
     deadline: Optional[float]
     #: Times already evicted (preempted jobs re-enter the queue).
@@ -96,13 +74,10 @@ class RunningJobView:
 
     job_id: str
     num_qubits: int
-    priority: float
     start_time: float
     elapsed: float
     completed_ops: int
     total_ops: int
-    num_qpus_used: int
-    qubits_per_qpu: Mapping[int, int]
 
     @property
     def progress(self) -> float:
@@ -117,32 +92,21 @@ class ClusterView:
     """Snapshot handed to :meth:`PreemptionPolicy.decide` each decision point.
 
     ``pending`` is in batch-manager order (highest placement priority
-    first); ``running`` is in deterministic job-id order.
-
-    ``num_qpus`` is the *online* fleet size at the decision point: with a
-    fault injector attached (:mod:`repro.multitenant.faults`) the fleet
-    churns mid-run, so churn-aware policies should read fleet size from the
-    view rather than caching it at construction.  It defaults to
-    ``len(available_per_qpu)`` so hand-built views stay consistent.
+    first); ``running`` is in deterministic job-id order; ``available`` is
+    the free computing capacity of the online fleet.
     """
 
     now: float
     pending: Tuple[PendingJobView, ...]
     running: Tuple[RunningJobView, ...]
     available: int
-    available_per_qpu: Mapping[int, int]
-    num_qpus: int = -1
-
-    def __post_init__(self) -> None:
-        if self.num_qpus < 0:
-            object.__setattr__(self, "num_qpus", len(self.available_per_qpu))
 
 
 # ----------------------------------------------------------------------
 # Policy contract
 # ----------------------------------------------------------------------
 class PreemptionPolicy:
-    """Decides, at each decision point, which running jobs to evict/migrate.
+    """Decides, at each decision point, which running jobs to evict.
 
     Subclasses override :meth:`decide`; it must be a pure, deterministic
     function of the view (no RNG) so seeded runs stay reproducible.
@@ -161,8 +125,8 @@ class PreemptionPolicy:
     def reset(self) -> None:
         """Clear per-run state; called once before each simulation run."""
 
-    def decide(self, view: ClusterView) -> List[PreemptionAction]:
-        """Actions to apply at this decision point (may be empty)."""
+    def decide(self, view: ClusterView) -> List[PreemptRequest]:
+        """Evictions to apply at this decision point (may be empty)."""
         raise NotImplementedError
 
     def rescue_check_time(self, job: Job, deadline: float) -> Optional[float]:
@@ -199,7 +163,7 @@ class NeverPreempt(PreemptionPolicy):
     name = "never-preempt"
     enabled = False
 
-    def decide(self, view: ClusterView) -> List[PreemptionAction]:
+    def decide(self, view: ClusterView) -> List[PreemptRequest]:
         return []
 
 
@@ -232,53 +196,6 @@ def _greedy_cover(
     return None
 
 
-class PriorityPreempt(PreemptionPolicy):
-    """Evict strictly-lower-priority running jobs to seat a queued job.
-
-    Priority follows the default batch-manager convention: a *smaller*
-    Eq. 11 metric is placed first, so a victim must have a metric at least
-    ``min_priority_gap`` *larger* than the queued job's.  Victims are chosen
-    cheapest-first (least elapsed work) and only evicted when the freed
-    qubits actually cover the queued job's need; equal-priority jobs can
-    never evict each other, so preemption cannot ping-pong.
-    """
-
-    name = "priority-preempt"
-
-    def __init__(self, min_priority_gap: float = 0.0) -> None:
-        if min_priority_gap < 0:
-            raise ValueError("min_priority_gap cannot be negative")
-        self.min_priority_gap = float(min_priority_gap)
-
-    def decide(self, view: ClusterView) -> List[PreemptionAction]:
-        actions: List[PreemptionAction] = []
-        evicted = set()
-        available = view.available
-        for pending in view.pending:
-            if pending.num_qubits <= available:
-                # The placement pass will (try to) seat it from free capacity.
-                available -= pending.num_qubits
-                continue
-            candidates = sorted(
-                (
-                    r
-                    for r in view.running
-                    if r.job_id not in evicted
-                    and r.priority > pending.priority + self.min_priority_gap
-                ),
-                key=_victim_cost,
-            )
-            chosen = _greedy_cover(candidates, pending.num_qubits - available)
-            if chosen is None:
-                continue
-            for victim in chosen:
-                evicted.add(victim.job_id)
-                actions.append(PreemptRequest(victim.job_id))
-                available += victim.num_qubits
-            available -= pending.num_qubits
-        return actions
-
-
 class DeadlineRescue(PreemptionPolicy):
     """Evict the cheapest victims when queued jobs are about to expire.
 
@@ -307,7 +224,7 @@ class DeadlineRescue(PreemptionPolicy):
     def rescue_check_time(self, job: Job, deadline: float) -> Optional[float]:
         return deadline - self.horizon
 
-    def decide(self, view: ClusterView) -> List[PreemptionAction]:
+    def decide(self, view: ClusterView) -> List[PreemptRequest]:
         # Walk *all* pending jobs in batch-manager order, debiting capacity
         # for every job the placement pass will seat -- a non-imminent job
         # ahead in the order consumes qubits an imminent one behind it
@@ -315,7 +232,7 @@ class DeadlineRescue(PreemptionPolicy):
         # would under-rescue.
         victims = sorted(view.running, key=_victim_cost)
         next_victim = 0
-        actions: List[PreemptionAction] = []
+        actions: List[PreemptRequest] = []
         available = view.available
         for pending in view.pending:
             if pending.num_qubits <= available:
@@ -337,51 +254,6 @@ class DeadlineRescue(PreemptionPolicy):
                 actions.append(PreemptRequest(victim.job_id))
                 available += victim.num_qubits
             available -= pending.num_qubits
-        return actions
-
-
-class MigrateToRebalance(PreemptionPolicy):
-    """Re-place scattered running jobs onto freed QPUs to cut network load.
-
-    A running job spread over ``min_qpus_used`` or more QPUs is nominated
-    for migration when some single QPU could now hold it outright (counting
-    the qubits the job itself occupies there).  The simulator re-runs the
-    placement algorithm against the cloud minus the job's own reservation
-    and commits only if the new placement uses strictly fewer QPUs; the
-    work-loss model then decides how much progress survives the move.
-    ``max_migrations`` bounds the disruption per decision point.
-    """
-
-    name = "migrate-rebalance"
-
-    def __init__(self, min_qpus_used: int = 2, max_migrations: int = 1) -> None:
-        if min_qpus_used < 2:
-            raise ValueError("min_qpus_used must be at least 2")
-        if max_migrations < 1:
-            raise ValueError("max_migrations must be at least 1")
-        self.min_qpus_used = int(min_qpus_used)
-        self.max_migrations = int(max_migrations)
-
-    def decide(self, view: ClusterView) -> List[PreemptionAction]:
-        actions: List[PreemptionAction] = []
-        # Most-scattered first: they pay the most network latency per round.
-        candidates = sorted(
-            view.running,
-            key=lambda r: (-r.num_qpus_used, len(r.job_id), r.job_id),
-        )
-        for running in candidates:
-            if running.num_qpus_used < self.min_qpus_used:
-                continue
-            consolidatable = any(
-                free + running.qubits_per_qpu.get(qpu_id, 0)
-                >= running.num_qubits
-                for qpu_id, free in view.available_per_qpu.items()
-            )
-            if not consolidatable:
-                continue
-            actions.append(MigrateRequest(running.job_id))
-            if len(actions) >= self.max_migrations:
-                break
         return actions
 
 

@@ -387,7 +387,9 @@ class _DepthSeries:
         return series
 
 
-def iter_events(source: Union[str, IO[str], Iterable[str]]) -> Iterable[dict]:
+def iter_events(
+    source: Union[str, os.PathLike, IO[str], Iterable[str]]
+) -> Iterable[dict]:
     """Yield parsed event records from a jsonl path, file object or lines.
 
     A malformed *final* line is tolerated with a warning: the exporter
@@ -396,8 +398,8 @@ def iter_events(source: Union[str, IO[str], Iterable[str]]) -> Iterable[dict]:
     than corruption.  A malformed line anywhere *before* the end still
     raises -- nothing legitimate produces one.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as stream:
+    if isinstance(source, (str, os.PathLike)):
+        with open(os.fspath(source), "r", encoding="utf-8") as stream:
             yield from _parse_event_lines(stream)
         return
     yield from _parse_event_lines(source)
@@ -464,7 +466,7 @@ class Telemetry:
         self,
         epsilon: float = 0.005,
         queue_depth_capacity: int = 4096,
-        events: Union[None, str, IO[str]] = None,
+        events: Union[None, str, os.PathLike, IO[str]] = None,
     ) -> None:
         self.jct = QuantileSketch(epsilon)
         self.queueing_delay = QuantileSketch(epsilon)
@@ -503,9 +505,10 @@ class Telemetry:
             if hasattr(events, "write"):
                 self._stream = events  # type: ignore[assignment]
             else:
-                self._stream = open(events, "w", encoding="utf-8")
+                # Stored as str: a checkpoint writes the path into json.
+                self._events_path = os.fspath(events)
+                self._stream = open(self._events_path, "w", encoding="utf-8")
                 self._owns_stream = True
-                self._events_path = events
 
     # ------------------------------------------------------------------
     # Event stream plumbing
@@ -1022,7 +1025,7 @@ class Telemetry:
     @classmethod
     def from_events(
         cls,
-        source: Union[str, IO[str], Iterable[str]],
+        source: Union[str, os.PathLike, IO[str], Iterable[str]],
         epsilon: float = 0.005,
         queue_depth_capacity: int = 4096,
     ) -> "Telemetry":

@@ -216,7 +216,7 @@ class EventLoop:
         ``resolver`` maps each stored event label back to its callback (the
         caller owns the label registry).  Returns one :class:`EventHandle`
         per restored event, aligned with ``state["events"]``, so callers can
-        re-wire the handles they track (tick, expiries, autoscaler).  The
+        re-wire the handles they track (tick, expiries).  The
         loop must be fresh (nothing scheduled, never run).
         """
         if self._queue or self._next_sequence or self.processed_events:

@@ -132,21 +132,13 @@ class TestCheckpointConfig:
         with pytest.raises(CheckpointError):
             CheckpointConfig(path="")
 
-    def test_cadences_are_exclusive(self):
-        with pytest.raises(CheckpointError):
-            CheckpointConfig(path="x", every_jobs=5, every_sim_time=1.0)
-
     def test_every_jobs_positive(self):
         with pytest.raises(CheckpointError):
             CheckpointConfig(path="x", every_jobs=0)
 
-    def test_every_sim_time_positive(self):
-        with pytest.raises(CheckpointError):
-            CheckpointConfig(path="x", every_sim_time=0.0)
-
     def test_signal_only_config_is_valid(self):
         config = CheckpointConfig(path="x")
-        assert config.every_jobs is None and config.every_sim_time is None
+        assert config.every_jobs is None
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +224,17 @@ class TestSnapshotIO:
         with pytest.raises(CheckpointMismatchError) as excinfo:
             read_snapshot(path)
         assert excinfo.value.field == "version"
+
+    def test_version_one_snapshot_refused(self, tmp_path):
+        # Version 1 snapshots carry the sim-time cadence, the autoscaler
+        # state and the migration ledger, which this layout no longer has.
+        path = str(tmp_path / "snap.json")
+        with open(path, "w") as handle:
+            json.dump({"schema": CHECKPOINT_SCHEMA, "version": 1}, handle)
+        with pytest.raises(CheckpointMismatchError) as excinfo:
+            read_snapshot(path)
+        assert excinfo.value.field == "version"
+        assert excinfo.value.saved == 1
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +352,33 @@ class TestResumeRefusal:
                 seed=1,
                 checkpoint=CheckpointConfig(path=str(tmp_path / "s.json")),
             )
+
+
+class TestPathArguments:
+    """A ``pathlib.Path`` snapshot path works like the same ``str``."""
+
+    def test_path_snapshot_matches_str_snapshot(self, tmp_path):
+        trace_path = str(tmp_path / "trace.jsonl")
+        write_trace(
+            trace_path,
+            generate_anchor_burst_trace(
+                2, 4, num_qpus=3, anchor="ghz_n9", filler="ghz_n5"
+            ).iter_records(),
+        )
+        snap_path = tmp_path / "snap.json"
+        snapshots = []
+        for path in (str(snap_path), snap_path):
+            job_module.set_job_counter(0)
+            _make_sim().run_stream(
+                trace=trace_path,
+                seed=3,
+                checkpoint=CheckpointConfig(path=path, every_jobs=2),
+            )
+            snapshots.append(snap_path.read_bytes())
+        assert snapshots[1] == snapshots[0]
+        saved = read_snapshot(str(snap_path))["state"]["checkpoint"]
+        assert saved["path"] == str(snap_path)
+        assert CheckpointConfig(path=snap_path).path == str(snap_path)
 
 
 class TestTraceCursorClosed:

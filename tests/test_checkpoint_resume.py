@@ -204,21 +204,6 @@ class TestResumeBitIdentity:
         )
         assert scn.resume(index) == scn.baseline
 
-    def test_sim_time_cadence(self, tmp_root, tmp_path):
-        scn = scenario(tmp_root, CloudQCScheduler)
-        snap = str(tmp_path / "snap.json")
-        job_module.set_job_counter(0)
-        results = scn._make_sim().run_stream(
-            trace=scn.trace_path,
-            seed=9,
-            checkpoint=CheckpointConfig(path=snap, every_sim_time=40.0),
-        )
-        assert canonical(results) == scn.baseline
-        assert os.path.exists(snap)
-        job_module.set_job_counter(0)
-        resumed = scn._make_sim().resume_stream(snap)
-        assert canonical(resumed) == scn.baseline
-
     def test_resume_inherits_checkpoint_cadence(self, tmp_root):
         """A resumed run keeps snapshotting to the same path by default."""
         scn = scenario(tmp_root, CloudQCScheduler)

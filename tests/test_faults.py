@@ -1,14 +1,13 @@
 """Tests for the fleet-dynamics / fault-injection layer.
 
 Covers the event and scenario-spec validation, seeded schedule generation,
-the queue-depth autoscaler's decision rule, the simulation semantics of
-joins / drains / failures / calibration windows (including the exactly-once
-disposition of every interrupted job), the fault-lifecycle telemetry with
-its byte-identical event-stream round trip, golden A/B tests pinning that a
-run with no injector (or an empty one) is bit-identical to the fault-layer-
-free simulator across all four schedulers, and a Hypothesis job-conservation
-invariant: every submitted job reaches exactly one terminal outcome no
-matter what the fleet does.
+the simulation semantics of joins / drains / failures / calibration windows
+(including the exactly-once disposition of every interrupted job), the
+fault-lifecycle telemetry with its byte-identical event-stream round trip,
+golden A/B tests pinning that a run with no injector (or an empty one) is
+bit-identical to the fault-layer-free simulator across all four schedulers,
+and a Hypothesis job-conservation invariant: every submitted job reaches
+exactly one terminal outcome no matter what the fleet does.
 """
 
 from __future__ import annotations
@@ -30,18 +29,12 @@ from repro.multitenant import (
     ClusterSimulationError,
     DeadlineRescue,
     FaultInjector,
-    FleetView,
     JobOutcome,
-    MigrateToRebalance,
     MultiTenantSimulator,
-    PriorityPreempt,
     QPUDrain,
     QPUFail,
     QPUJoin,
-    QueueDepthAutoscaler,
     QueueingDeadline,
-    ScaleDown,
-    ScaleUp,
     Telemetry,
     fifo_batch_manager,
     generate_fleet_events,
@@ -211,71 +204,6 @@ class TestScheduleGeneration:
 
     def test_zero_rates_yield_empty_schedule(self):
         assert generate_fleet_events(ChaosSpec(duration=50.0), [0, 1]) == []
-
-
-# ----------------------------------------------------------------------
-# Autoscaler decision rule
-# ----------------------------------------------------------------------
-def view(depth=0, available=32, capacity=32, online=(0, 1), submitted=0, dropped=0):
-    return FleetView(
-        now=0.0,
-        queue_depth=depth,
-        available_qubits=available,
-        total_capacity=capacity,
-        online_qpus=tuple(online),
-        submitted=submitted,
-        dropped=dropped,
-    )
-
-
-class TestQueueDepthAutoscaler:
-    def scaler(self, **kwargs):
-        return QueueDepthAutoscaler(standby={2: (16, 4), 3: (16, 4)}, **kwargs)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            self.scaler(interval=0.0)
-        with pytest.raises(ValueError):
-            self.scaler(scale_up_depth=1, scale_down_depth=1)
-
-    def test_scales_up_under_queue_pressure(self):
-        actions = self.scaler().decide(view(depth=5))
-        assert actions == [ScaleUp(2, 16, 4)]
-
-    def test_scales_up_under_drop_pressure(self):
-        scaler = self.scaler()
-        assert scaler.decide(view(depth=0, submitted=10, dropped=0)) == []
-        actions = scaler.decide(view(depth=0, submitted=20, dropped=5))
-        assert actions == [ScaleUp(2, 16, 4)]
-
-    def test_exhausted_standby_pool_is_a_noop(self):
-        scaler = self.scaler()
-        scaler.decide(view(depth=5))
-        scaler.decide(view(depth=5, online=(0, 1, 2)))
-        assert scaler.decide(view(depth=5, online=(0, 1, 2, 3))) == []
-
-    def test_scales_down_only_its_own_joins(self):
-        scaler = self.scaler()
-        # Never joined anything: an idle cluster is left alone.
-        assert scaler.decide(view(depth=0, available=32)) == []
-        scaler.decide(view(depth=5))
-        actions = scaler.decide(view(depth=0, available=48, capacity=48,
-                                     online=(0, 1, 2)))
-        assert actions == [ScaleDown(2)]
-
-    def test_no_scale_down_while_utilized(self):
-        scaler = self.scaler()
-        scaler.decide(view(depth=5))
-        assert scaler.decide(
-            view(depth=0, available=8, capacity=48, online=(0, 1, 2))
-        ) == []
-
-    def test_reset_forgets_joins(self):
-        scaler = self.scaler()
-        scaler.decide(view(depth=5))
-        scaler.reset()
-        assert scaler.decide(view(depth=0, available=48, capacity=48,
-                                  online=(0, 1, 2))) == []
 
 
 # ----------------------------------------------------------------------
@@ -490,32 +418,6 @@ class TestCalibrationSemantics:
         assert short.completion_time < long.completion_time
 
 
-class TestAutoscalerInSimulation:
-    def test_autoscaler_joins_standby_under_backlog(self):
-        circuits = [ghz(16) for _ in range(6)]
-        arrivals = [0.0] * 6
-        static = run_stream(
-            line_cloud(n=3, members=[0, 1]), circuits, arrivals
-        )
-        sink = Telemetry()
-        scaled = run_stream(
-            line_cloud(n=3, members=[0, 1]),
-            circuits,
-            arrivals,
-            injector=FaultInjector(
-                autoscaler=QueueDepthAutoscaler(
-                    standby={2: (16, 4)}, scale_up_depth=2, interval=5.0
-                )
-            ),
-            telemetry=sink,
-        )
-        assert sink.fleet_events["qpu_join"] >= 1
-        assert all(r.completed for r in scaled)
-        assert max(r.completion_time for r in scaled) < max(
-            r.completion_time for r in static
-        )
-
-
 class TestRandomPlacementAfterFleetShrinks:
     """RandomPlacement walks links of the static topology; a QPU that failed
     or drained keeps its links but has left the fleet, so the walk must step
@@ -642,8 +544,6 @@ class TestFaultTelemetry:
 PREEMPTION_POLICIES = [
     None,
     DeadlineRescue(horizon=5.0),
-    PriorityPreempt(),
-    MigrateToRebalance(),
 ]
 
 

@@ -14,14 +14,11 @@ from repro.multitenant import (
     DeadlineRescue,
     JobOutcome,
     JobProgress,
-    MigrateRequest,
-    MigrateToRebalance,
     MultiTenantSimulator,
     NeverPreempt,
     PendingJobView,
     PreemptRequest,
     PreemptionPolicy,
-    PriorityPreempt,
     QueueingDeadline,
     RunningJobView,
     fifo_batch_manager,
@@ -61,13 +58,12 @@ def make_simulator(cloud, batch_manager=None, **kwargs):
     )
 
 
-def pending_view(job_id, qubits=8, priority=1.0, deadline=None, waited=0.0):
+def pending_view(job_id, qubits=8, deadline=None, waited=0.0):
     return PendingJobView(
         job_id=job_id,
         num_qubits=qubits,
         arrival_time=0.0,
         waited=waited,
-        priority=priority,
         deadline=deadline,
         num_preemptions=0,
     )
@@ -76,32 +72,26 @@ def pending_view(job_id, qubits=8, priority=1.0, deadline=None, waited=0.0):
 def running_view(
     job_id,
     qubits=8,
-    priority=1.0,
     elapsed=0.0,
     completed_ops=0,
     total_ops=0,
-    qubits_per_qpu=None,
 ):
     return RunningJobView(
         job_id=job_id,
         num_qubits=qubits,
-        priority=priority,
         start_time=0.0,
         elapsed=elapsed,
         completed_ops=completed_ops,
         total_ops=total_ops,
-        num_qpus_used=len(qubits_per_qpu) if qubits_per_qpu else 1,
-        qubits_per_qpu=qubits_per_qpu or {0: qubits},
     )
 
 
-def view(pending=(), running=(), available=0, available_per_qpu=None, now=0.0):
+def view(pending=(), running=(), available=0, now=0.0):
     return ClusterView(
         now=now,
         pending=tuple(pending),
         running=tuple(running),
         available=available,
-        available_per_qpu=available_per_qpu or {},
     )
 
 
@@ -111,92 +101,6 @@ class TestNeverPreempt:
         assert policy.enabled is False
         assert policy.decide(view(pending=[pending_view("job-0")])) == []
         assert policy.rescue_check_time(None, 10.0) is None
-
-
-class TestPriorityPreemptPolicy:
-    def test_evicts_lower_priority_victim_for_blocked_job(self):
-        actions = PriorityPreempt().decide(
-            view(
-                pending=[pending_view("p", qubits=8, priority=10.0)],
-                running=[running_view("victim", qubits=8, priority=50.0)],
-                available=2,
-            )
-        )
-        assert actions == [PreemptRequest("victim")]
-
-    def test_no_eviction_when_job_fits_free_capacity(self):
-        actions = PriorityPreempt().decide(
-            view(
-                pending=[pending_view("p", qubits=8, priority=10.0)],
-                running=[running_view("victim", qubits=8, priority=50.0)],
-                available=8,
-            )
-        )
-        assert actions == []
-
-    def test_equal_priority_can_never_evict(self):
-        # Strictly-lower-priority victims only: no preemption ping-pong.
-        actions = PriorityPreempt().decide(
-            view(
-                pending=[pending_view("p", qubits=8, priority=50.0)],
-                running=[running_view("victim", qubits=8, priority=50.0)],
-                available=0,
-            )
-        )
-        assert actions == []
-
-    def test_min_priority_gap_filters_victims(self):
-        v = view(
-            pending=[pending_view("p", qubits=8, priority=10.0)],
-            running=[running_view("victim", qubits=8, priority=14.0)],
-            available=0,
-        )
-        assert PriorityPreempt(min_priority_gap=5.0).decide(v) == []
-        assert PriorityPreempt(min_priority_gap=2.0).decide(v) == [
-            PreemptRequest("victim")
-        ]
-
-    def test_cheapest_victim_least_elapsed_work_first(self):
-        actions = PriorityPreempt().decide(
-            view(
-                pending=[pending_view("p", qubits=8, priority=1.0)],
-                running=[
-                    running_view("old", qubits=8, priority=9.0, elapsed=40.0),
-                    running_view("young", qubits=8, priority=9.0, elapsed=2.0),
-                ],
-                available=0,
-            )
-        )
-        assert actions == [PreemptRequest("young")]
-
-    def test_no_eviction_when_victims_cannot_cover_the_need(self):
-        # Evicting without seating the blocked job is pure waste.
-        actions = PriorityPreempt().decide(
-            view(
-                pending=[pending_view("p", qubits=30, priority=1.0)],
-                running=[running_view("victim", qubits=8, priority=9.0)],
-                available=4,
-            )
-        )
-        assert actions == []
-
-    def test_multiple_victims_accumulate_until_covered(self):
-        actions = PriorityPreempt().decide(
-            view(
-                pending=[pending_view("p", qubits=16, priority=1.0)],
-                running=[
-                    running_view("a", qubits=8, priority=9.0, elapsed=1.0),
-                    running_view("b", qubits=8, priority=9.0, elapsed=2.0),
-                    running_view("c", qubits=8, priority=9.0, elapsed=3.0),
-                ],
-                available=0,
-            )
-        )
-        assert actions == [PreemptRequest("a"), PreemptRequest("b")]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PriorityPreempt(min_priority_gap=-1.0)
 
 
 class TestDeadlineRescuePolicy:
@@ -323,65 +227,6 @@ class TestDeadlineRescuePolicy:
             DeadlineRescue(horizon=0.0)
         with pytest.raises(ValueError):
             DeadlineRescue(horizon=-2.0)
-
-
-class TestMigrateToRebalancePolicy:
-    def test_nominates_scattered_job_when_one_qpu_could_hold_it(self):
-        policy = MigrateToRebalance()
-        actions = policy.decide(
-            view(
-                running=[
-                    running_view(
-                        "scattered", qubits=10, qubits_per_qpu={0: 5, 1: 5}
-                    )
-                ],
-                available_per_qpu={0: 6, 1: 2, 2: 4},
-            )
-        )
-        assert actions == [MigrateRequest("scattered")]
-
-    def test_ignores_single_qpu_jobs(self):
-        policy = MigrateToRebalance()
-        actions = policy.decide(
-            view(
-                running=[running_view("local", qubits=4, qubits_per_qpu={0: 4})],
-                available_per_qpu={0: 6, 1: 10},
-            )
-        )
-        assert actions == []
-
-    def test_no_nomination_without_a_big_enough_hole(self):
-        policy = MigrateToRebalance()
-        actions = policy.decide(
-            view(
-                running=[
-                    running_view(
-                        "scattered", qubits=10, qubits_per_qpu={0: 5, 1: 5}
-                    )
-                ],
-                available_per_qpu={0: 2, 1: 2, 2: 9},
-            )
-        )
-        assert actions == []
-
-    def test_max_migrations_bounds_disruption(self):
-        policy = MigrateToRebalance(max_migrations=1)
-        actions = policy.decide(
-            view(
-                running=[
-                    running_view("a", qubits=6, qubits_per_qpu={0: 3, 1: 3}),
-                    running_view("b", qubits=6, qubits_per_qpu={2: 3, 3: 3}),
-                ],
-                available_per_qpu={0: 7, 1: 7, 2: 7, 3: 7},
-            )
-        )
-        assert len(actions) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MigrateToRebalance(min_qpus_used=1)
-        with pytest.raises(ValueError):
-            MigrateToRebalance(max_migrations=0)
 
 
 class TestJobProgressLedger:
@@ -513,36 +358,6 @@ class TestSimulatorIntegration:
     def test_invalid_work_loss_rejected(self):
         with pytest.raises(ValueError):
             make_simulator(contended_cloud(), work_loss="forget")
-
-    def test_priority_preempt_evicts_heavier_running_job(self):
-        simulator = make_simulator(
-            contended_cloud(),
-            batch_manager=priority_batch_manager(),
-            preemption_policy=PriorityPreempt(),
-        )
-        results = simulator.run_stream([ghz(24), ghz(16)], [0.0, 5.0], seed=1)
-        heavy, light = sorted(results, key=lambda r: r.arrival_time)
-        # The lighter job (smaller Eq. 11 metric) evicts the heavy one at its
-        # arrival instant instead of queueing behind it.
-        assert light.placement_time == 5.0
-        assert heavy.num_preemptions == 1
-        assert heavy.outcome == light.outcome == JobOutcome.COMPLETED
-
-    def test_migrate_consolidates_after_capacity_frees(self):
-        cloud = contended_cloud(epr_success_probability=0.25)
-        simulator = make_simulator(
-            cloud, preemption_policy=MigrateToRebalance()
-        )
-        # ising(12) arrives while both QPUs are half-full, so it is split
-        # across them; once the two ghz(10) complete, it migrates onto one
-        # QPU and its remaining remote operations disappear.
-        results = simulator.run_stream(
-            [ghz(10), ghz(10), ising(12)], [0.0, 0.0, 1.0], seed=3
-        )
-        migrated = [r for r in results if r.circuit_name == "ising_n12"][0]
-        assert migrated.num_migrations == 1
-        assert migrated.num_qpus_used == 1
-        assert migrated.outcome == JobOutcome.COMPLETED
 
     def test_stranded_preempted_outcome(self):
         # A job evicted by the policy whose re-placement then keeps failing

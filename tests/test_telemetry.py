@@ -26,6 +26,7 @@ from repro.cloud import CloudTopology, QuantumCloud
 from repro.cloud import job as job_module
 from repro.multitenant import (
     TELEMETRY_EVENTS,
+    CheckpointConfig,
     DeadlineRescue,
     MultiTenantSimulator,
     QuantileSketch,
@@ -36,6 +37,8 @@ from repro.multitenant import (
     generate_anchor_burst_trace,
     iter_events,
     queue_depth_timeseries,
+    read_snapshot,
+    write_trace,
 )
 from repro.multitenant.telemetry import _DepthSeries
 from repro.placement import CloudQCPlacement
@@ -559,6 +562,49 @@ class TestEventStream:
         online = sink.summary()
         rebuilt = Telemetry.from_events(path)
         assert rebuilt.summary() == online
+
+    def test_round_trip_from_path_object(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with Telemetry(events=str(path)) as sink:
+            run_burst_replay(telemetry=sink)
+        assert Telemetry.from_events(path).summary() == sink.summary()
+
+    def test_iter_events_reads_a_path_object(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"event": "admitted", "t": 0.0, "job": "j0"}\n')
+        assert list(iter_events(path)) == [
+            {"event": "admitted", "t": 0.0, "job": "j0"}
+        ]
+
+    def test_path_event_stream_in_a_checkpointed_run(self, tmp_path):
+        trace_path = str(tmp_path / "trace.jsonl")
+        write_trace(
+            trace_path,
+            generate_anchor_burst_trace(cycles=2, fillers_per_cycle=4)
+            .iter_records(),
+        )
+        events_path = tmp_path / "events.jsonl"
+        snap_path = str(tmp_path / "snap.json")
+        outputs = []
+        for events in (str(events_path), events_path):
+            job_module._job_counter = itertools.count()
+            with Telemetry(events=events) as sink:
+                MultiTenantSimulator(
+                    small_cloud(),
+                    placement_algorithm=CloudQCPlacement(),
+                    network_scheduler=CloudQCScheduler(),
+                ).run_stream(
+                    trace=trace_path,
+                    seed=7,
+                    telemetry=sink,
+                    checkpoint=CheckpointConfig(path=snap_path, every_jobs=2),
+                )
+            outputs.append(
+                (events_path.read_bytes(), open(snap_path, "rb").read())
+            )
+        assert outputs[1] == outputs[0]
+        saved = read_snapshot(snap_path)["state"]["telemetry"]["events"]
+        assert saved["path"] == str(events_path)
 
     def test_iter_events_skips_blank_lines(self):
         lines = ['{"event": "admitted", "t": 0.0, "job": "j0"}', "", "  "]
