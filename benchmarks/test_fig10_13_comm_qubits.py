@@ -12,6 +12,7 @@ from functools import partial
 import pytest
 
 from answer_ledger import check_answer
+from shape_checks import check_cloudqc_not_worst
 from repro.analysis import format_series, sweep_communication_qubits
 
 COMM_QUBITS = (5, 6, 7, 8, 9, 10)
@@ -62,6 +63,8 @@ def test_fig10_13_jct_vs_communication_qubits(benchmark, figure, circuit):
         assert values[-1] <= values[0] * 1.10
     for index in range(len(COMM_QUBITS)):
         values = {name: series[name][index] for name in series}
-        assert values["CloudQC"] <= max(values.values())
+        check_cloudqc_not_worst(
+            values, f"{figure} at {COMM_QUBITS[index]} communication qubits"
+        )
         assert values["CloudQC"] <= values["Greedy"] * 1.05
     check_answer(f"fig10-13/{figure}", series)

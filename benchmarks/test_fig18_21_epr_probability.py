@@ -12,6 +12,7 @@ from functools import partial
 import pytest
 
 from answer_ledger import check_answer
+from shape_checks import check_cloudqc_not_worst
 from repro.analysis import format_series, sweep_epr_probability
 
 PROBABILITIES = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -62,5 +63,5 @@ def test_fig18_21_jct_vs_epr_probability(benchmark, figure, circuit):
         if probability < 0.2:
             continue
         values = {name: series[name][index] for name in series}
-        assert values["CloudQC"] <= max(values.values())
+        check_cloudqc_not_worst(values, f"{figure} at p = {probability}")
     check_answer(f"fig18-21/{figure}", series)
