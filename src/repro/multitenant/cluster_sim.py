@@ -733,10 +733,12 @@ class _EventDrivenBatch:
                 self.failure_signatures[job.job_id] = signature
                 continue
             self.failure_signatures.pop(job.job_id, None)
+            # Activation checks the placement can run at all, so it comes
+            # before the controller admits a mapping onto an off-fleet QPU.
+            self._activate(job, placement, now)
             self.controller.place(job, placement.mapping)
             self.controller.start(job, now)
             version = self.cloud.resource_version
-            self._activate(job, placement, now)
             available -= job.num_qubits
             placed.add(job.job_id)
             if self.telemetry is not None:
@@ -769,7 +771,22 @@ class _EventDrivenBatch:
         execution time and already-succeeded EPR rounds are credited here,
         so resumed work is never redone (under ``restart`` the ledger is
         empty and the job starts from scratch).
+
+        Raises :class:`ClusterSimulationError` when a remote operation needs
+        a QPU without communication qubits (or outside the fleet): it could
+        never be granted a pair, so the run would spin through EPR rounds
+        until ``max_events``.
         """
+        remote_dag = RemoteDAG(job.circuit, placement.mapping)
+        qpus = self.cloud.qpus
+        for operation in remote_dag:
+            for qpu_id in operation.qpus:
+                if qpu_id not in qpus or qpus[qpu_id].communication_capacity < 1:
+                    raise ClusterSimulationError(
+                        f"job {job.job_id}: remote operation "
+                        f"{operation.node_id} needs QPU {qpu_id}, which has "
+                        "no communication qubits, so it can never run"
+                    )
         local_time = local_execution_time(job.circuit, self.latency)
         prog = self.progress.get(job.job_id)
         if prog is not None:
@@ -777,7 +794,7 @@ class _EventDrivenBatch:
         state = _ActiveJob(
             job=job,
             placement=placement,
-            remote_dag=RemoteDAG(job.circuit, placement.mapping),
+            remote_dag=remote_dag,
             local_time=local_time,
             start_time=now,
         )

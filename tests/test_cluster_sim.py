@@ -7,7 +7,7 @@ import pytest
 from repro.circuits import QuantumCircuit
 from repro.circuits.library import get_circuit, ghz, ising
 from repro.analysis import default_cloud as make_default_cloud
-from repro.cloud import CloudTopology, QuantumCloud
+from repro.cloud import QPU, CloudTopology, QuantumCloud
 from repro.multitenant import (
     ClusterSimulationError,
     MultiTenantSimulator,
@@ -15,7 +15,7 @@ from repro.multitenant import (
     poisson_arrivals,
     priority_batch_manager,
 )
-from repro.placement import CloudQCPlacement
+from repro.placement import CloudQCPlacement, RandomPlacement
 from repro.scheduling import CloudQCScheduler
 
 
@@ -173,6 +173,28 @@ class TestEventGuards:
         simulator = make_simulator(cloud, max_events=3)
         with pytest.raises(ClusterSimulationError, match="3 events"):
             simulator.run_batch([ghz(24), ghz(24)], seed=1)
+
+    @pytest.mark.parametrize("placer", [RandomPlacement(), CloudQCPlacement()])
+    def test_job_needing_a_qpu_without_communication_qubits_fails_at_once(
+        self, placer
+    ):
+        # Six qubits on two 3-qubit QPUs: every placement cuts the CX chain,
+        # and QPU 1 has no communication qubits to run the cut gate with.
+        cloud = QuantumCloud(
+            CloudTopology.line(2), qpus={0: QPU(0, 3, 2), 1: QPU(1, 3, 0)}
+        )
+        chain = QuantumCircuit(6, name="chain6")
+        for qubit in range(5):
+            chain.cx(qubit, qubit + 1)
+        simulator = MultiTenantSimulator(
+            cloud, placer, CloudQCScheduler(), max_events=20_000
+        )
+        with pytest.raises(
+            ClusterSimulationError,
+            match=r"job job-\d+: remote operation \d+ needs QPU 1, which has "
+            "no communication qubits",
+        ):
+            simulator.run_batch([chain], seed=1)
 
 
 class TestBatchOrderingEffects:
