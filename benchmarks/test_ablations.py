@@ -18,6 +18,7 @@ from repro.analysis import default_cloud
 from repro.circuits.library import get_circuit
 from repro.multitenant import (
     MultiTenantSimulator,
+    cluster_sim,
     fifo_batch_manager,
     generate_batch,
     priority_batch_manager,
@@ -25,7 +26,6 @@ from repro.multitenant import (
 from repro.placement import CloudQCBFSPlacement, CloudQCPlacement
 from repro.scheduling import CloudQCScheduler, RemoteDAG, apply_priorities, uniform_priorities
 from repro.sim import NetworkExecutor
-from repro.sim import executor as executor_module
 
 
 @pytest.mark.paper_artifact("ablation")
@@ -67,15 +67,16 @@ def test_ablation_priority_vs_uniform_scheduling(benchmark, monkeypatch):
 
     priority_mean = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # Re-run with priorities forced to zero: the executor builds its DAGs
-    # through the RemoteDAG name in repro.sim.executor, so swap that for a
-    # subclass that applies uniform priorities after construction.
+    # Re-run with priorities forced to zero: the executor runs a one-job
+    # cluster simulation, which builds its DAGs through the RemoteDAG name in
+    # repro.multitenant.cluster_sim, so swap that for a subclass that applies
+    # uniform priorities after construction.
     class UniformRemoteDAG(RemoteDAG):
         def __init__(self, circuit, mapping):
             super().__init__(circuit, mapping)
             apply_priorities(self, uniform_priorities(self))
 
-    monkeypatch.setattr(executor_module, "RemoteDAG", UniformRemoteDAG)
+    monkeypatch.setattr(cluster_sim, "RemoteDAG", UniformRemoteDAG)
     uniform_mean = float(
         np.mean(
             [

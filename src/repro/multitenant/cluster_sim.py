@@ -174,6 +174,10 @@ class TenantJobResult:
     ``outcome="preempted"``: its ``placement_time`` records the *first*
     placement (it did run), completion stays NaN, and ``dropped_time`` is
     the final eviction instant.
+
+    ``epr_rounds`` counts the EPR rounds the job's last placement took part
+    in: every round in which it had a remote operation ready, granted
+    communication qubits or not.
     """
 
     job_id: str
@@ -189,6 +193,7 @@ class TenantJobResult:
     num_migrations: int = 0
     wasted_time: float = 0.0
     wasted_ops: int = 0
+    epr_rounds: int = 0
 
     @property
     def completed(self) -> bool:
@@ -285,6 +290,7 @@ class _EventDrivenBatch:
         "simulator": "back-reference to the owning MultiTenantSimulator; the resume path reconstructs the batch from the simulator",
         "latency": "immutable LatencyModel owned by the simulator config; a resume rebuilds it from the run fingerprint",
         "round_tail": "derived from the latency model in __init__ and never mutated",
+        "communication_capacity": "per-QPU communication qubits of the fleet members; _restore_cloud rebuilds it from the restored 'cloud' key",
         "epr_model": "immutable EPR success model from the simulator config",
         "controller": "its live state is the 'jobs' and 'cloud' snapshot keys; the controller object itself is rebuilt on restore",
         "loop": "captured as the 'engine' key via EventLoop.snapshot_state",
@@ -340,6 +346,7 @@ class _EventDrivenBatch:
         self._job_capture_cache: Dict[str, Dict[str, Any]] = {}
         self._captured_results: List[Dict[str, Any]] = []
         self.cloud = simulator.template_cloud.clone_empty()
+        self._fleet_changed()
         self.latency = simulator.latency
         self.round_tail = self.latency.two_qubit_gate + self.latency.measurement
         self.rng = np.random.default_rng(seed)
@@ -778,10 +785,10 @@ class _EventDrivenBatch:
         until ``max_events``.
         """
         remote_dag = RemoteDAG(job.circuit, placement.mapping)
-        qpus = self.cloud.qpus
+        capacity = self.communication_capacity
         for operation in remote_dag:
             for qpu_id in operation.qpus:
-                if qpu_id not in qpus or qpus[qpu_id].communication_capacity < 1:
+                if capacity.get(qpu_id, 0) < 1:
                     raise ClusterSimulationError(
                         f"job {job.job_id}: remote operation "
                         f"{operation.node_id} needs QPU {qpu_id}, which has "
@@ -983,6 +990,7 @@ class _EventDrivenBatch:
                 communication_capacity=communication,
             )
         )
+        self._fleet_changed()
         if self.telemetry is not None:
             self.telemetry.qpu_joined(event.qpu_id, now)
         return True
@@ -990,6 +998,7 @@ class _EventDrivenBatch:
     def _remove_qpu(self, qpu_id: int) -> None:
         """Take an idle QPU out of the fleet, remembering its capacities."""
         qpu = self.cloud.remove_qpu(qpu_id)
+        self._fleet_changed()
         self._departed_capacities[qpu_id] = (
             qpu.computing_capacity,
             qpu.communication_capacity,
@@ -1107,16 +1116,25 @@ class _EventDrivenBatch:
 
         return on_end
 
+    def _fleet_changed(self) -> None:
+        """Re-read the members' communication qubits after a fleet change.
+
+        They change only when a QPU joins or leaves (or a snapshot is
+        restored), so rounds and activation checks read this dict instead of
+        rebuilding it from the cloud every round.
+        """
+        self.communication_capacity = {
+            qpu_id: qpu.communication_capacity
+            for qpu_id, qpu in self.cloud.qpus.items()
+        }
+
     def _start_round(
         self, loop: EventLoop, runnable: Sequence[Tuple[str, FrontLayer]]
     ) -> None:
         """Allocate communication qubits, sample this round's EPR successes."""
         successes = run_epr_round(
             runnable,
-            {
-                qpu_id: qpu.communication_capacity
-                for qpu_id, qpu in self.cloud.qpus.items()
-            },
+            self.communication_capacity,
             self.simulator.network_scheduler,
             self.epr_model,
             self.rng,
@@ -1219,6 +1237,7 @@ class _EventDrivenBatch:
             num_migrations=state.job.num_migrations,
             wasted_time=progress.wasted_time if progress else 0.0,
             wasted_ops=progress.wasted_ops if progress else 0,
+            epr_rounds=state.front.rounds,
         )
 
     # ------------------------------------------------------------------
@@ -1351,6 +1370,7 @@ class _EventDrivenBatch:
                 "ready": sorted(front.ready),
                 "completed": front.completed,
                 "last_finish": front.last_finish,
+                "rounds": front.rounds,
             },
         }
 
@@ -1370,6 +1390,7 @@ class _EventDrivenBatch:
             "num_migrations": result.num_migrations,
             "wasted_time": result.wasted_time,
             "wasted_ops": result.wasted_ops,
+            "epr_rounds": result.epr_rounds,
         }
 
     def _capture_cloud(self) -> Dict[str, Any]:
@@ -1568,6 +1589,7 @@ class _EventDrivenBatch:
         front.ready = {int(node) for node in saved["front"]["ready"]}
         front.completed = int(saved["front"]["completed"])
         front.last_finish = float(saved["front"]["last_finish"])
+        front.rounds = int(saved["front"]["rounds"])
         return state
 
     def _restore_cloud(self, saved: Dict[str, Any]) -> None:
@@ -1597,6 +1619,7 @@ class _EventDrivenBatch:
         self.cloud._version_base = int(saved["version_base"])
         self.cloud._resource_graph_cache = None
         self.cloud._available_cache = None
+        self._fleet_changed()
 
     def _restore_state(self, state: Dict[str, Any], telemetry) -> None:
         """Adopt a full snapshot into this freshly constructed batch."""
@@ -1673,6 +1696,7 @@ class _EventDrivenBatch:
                 num_migrations=int(saved["num_migrations"]),
                 wasted_time=float(saved["wasted_time"]),
                 wasted_ops=int(saved["wasted_ops"]),
+                epr_rounds=int(saved["epr_rounds"]),
             )
             for saved in state["results"]
         ]

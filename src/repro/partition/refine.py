@@ -2,8 +2,9 @@
 
 Given an assignment, repeatedly move boundary nodes to the adjacent part that
 yields the largest edge-cut gain without violating the balance constraint.
-Moves with zero gain are allowed occasionally to escape plateaus, bounded by a
-pass limit so refinement always terminates.
+Only strictly positive gains are taken: a node whose best move gains nothing
+stays put, and no move is ever undone.  Refinement stops after a pass without
+a move, or after a pass limit.
 
 The kernels (:func:`_refine`, :func:`_rebalance`) work in the index space of
 a :class:`~repro.partition.csr.CSRGraph` on a per-node part list;

@@ -1,29 +1,19 @@
 """Simulation substrate: latency model, event loop, network executor."""
 
-from .latency import DEFAULT_LATENCY, LatencyModel
+from .latency import DEFAULT_LATENCY, LatencyModel, local_execution_time
 from .engine import EventHandle, EventLoop, SimulationError
 from .front_layer import FrontLayer, run_epr_round
-from .executor import (
-    ExecutionError,
-    JobExecutionResult,
-    NetworkExecutor,
-    ScheduledJob,
-    local_execution_time,
-    mean_completion_time,
-)
+from .executor import JobExecutionResult, NetworkExecutor
 
 __all__ = [
     "DEFAULT_LATENCY",
     "EventHandle",
     "EventLoop",
-    "ExecutionError",
     "FrontLayer",
     "JobExecutionResult",
     "LatencyModel",
     "NetworkExecutor",
-    "ScheduledJob",
     "SimulationError",
     "local_execution_time",
-    "mean_completion_time",
     "run_epr_round",
 ]

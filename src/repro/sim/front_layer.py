@@ -1,15 +1,15 @@
 """Shared front-layer tracking and the EPR-round kernel for remote-operation DAGs.
 
-Both network simulators (the single-batch :class:`~repro.sim.NetworkExecutor`
-and the event-driven multi-tenant cluster simulator) execute a
-:class:`~repro.scheduling.RemoteDAG` the same way: every EPR round, the
-*front layer* -- the remote operations whose predecessors have all finished --
-competes for communication qubits, and a success unlocks its successors.
-This module holds that bookkeeping in one place, with an indexed ready set so
-finishing an operation is O(successors) instead of the O(front * log front)
-of a re-sorted ready list, and :func:`run_epr_round`, the one per-round
-network step both simulators call.  Where front-layer execution sits in the
-overall event-driven flow is documented in ``docs/architecture.md``.
+The event-driven cluster simulator executes every placed job's
+:class:`~repro.scheduling.RemoteDAG` in EPR rounds (a single placed circuit
+runs as a one-job batch of it, see :class:`~repro.sim.NetworkExecutor`):
+every round, the *front layer* -- the remote operations whose predecessors
+have all finished -- competes for communication qubits, and a success
+unlocks its successors.  This module holds that bookkeeping, with an indexed
+ready set so finishing an operation is O(successors) instead of the
+O(front * log front) of a re-sorted ready list, and :func:`run_epr_round`,
+the per-round network step.  Where front-layer execution sits in the overall
+event-driven flow is documented in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ class FrontLayer:
         "ready",
         "completed",
         "last_finish",
+        "rounds",
         "_table_job",
         "_table",
     )
@@ -47,6 +48,8 @@ class FrontLayer:
         }
         self.completed = 0
         self.last_finish = start_time
+        #: EPR rounds this front took part in (counted by run_epr_round).
+        self.rounds = 0
         # Per-operation requests, built on the first requests() call: a
         # placed job's op ids, endpoints and priorities never change.
         self._table_job: Optional[str] = None
@@ -138,16 +141,18 @@ def run_epr_round(
 ) -> List[Tuple[str, int]]:
     """One EPR round over the runnable front layers; returns the successes.
 
-    The order contract both simulators rely on for bit-identical replays:
+    The order contract seeded runs rely on for bit-identical replays:
     ``fronts`` holds the runnable ``(job_id, front)`` pairs in runnable order,
     each front contributes its requests in ascending node id, the scheduler
     allocates once for the whole round, and every granted request is then
     sampled in request order (one ``rng.random()`` each).  The op ids that
-    succeeded come back in that order; the caller finishes them.
+    succeeded come back in that order; the caller finishes them.  Every
+    front in ``fronts`` counts the round in its ``rounds``.
     """
     requests: List[AllocationRequest] = []
     for job_id, front in fronts:
         requests += front.requests(job_id)
+        front.rounds += 1
     allocation = scheduler.allocate(requests, capacity, rng=rng)
     sample = epr_model.sample_round
     successes: List[Tuple[str, int]] = []

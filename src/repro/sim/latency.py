@@ -102,3 +102,22 @@ class LatencyModel:
 
 #: Default latency model with exactly the Table I constants.
 DEFAULT_LATENCY = LatencyModel()
+
+
+def local_execution_time(
+    circuit: QuantumCircuit, latency: LatencyModel = DEFAULT_LATENCY
+) -> float:
+    """Critical-path latency of the circuit if every gate were local.
+
+    Memoized on the circuit per latency model.
+    """
+
+    def critical_path() -> float:
+        ready = [0.0] * circuit.num_qubits
+        for qubits, _, duration in latency.gate_table(circuit):
+            finish = max(ready[q] for q in qubits) + duration
+            for q in qubits:
+                ready[q] = finish
+        return max(ready, default=0.0)
+
+    return circuit.memo(("local_execution_time", latency), critical_path)

@@ -236,6 +236,16 @@ class TestSnapshotIO:
         assert excinfo.value.field == "version"
         assert excinfo.value.saved == 1
 
+    def test_version_two_snapshot_refused(self, tmp_path):
+        # Version 2 snapshots carry no per-job EPR-round counts.
+        path = str(tmp_path / "snap.json")
+        with open(path, "w") as handle:
+            json.dump({"schema": CHECKPOINT_SCHEMA, "version": 2}, handle)
+        with pytest.raises(CheckpointMismatchError) as excinfo:
+            read_snapshot(path)
+        assert excinfo.value.field == "version"
+        assert excinfo.value.saved == 2
+
 
 # ----------------------------------------------------------------------
 # Fingerprint comparison

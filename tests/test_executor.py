@@ -1,18 +1,27 @@
-"""Tests for the round-based network executor."""
+"""Tests for the network executor and the round model it shares with the
+cluster simulator."""
 
 import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.cloud import QPU, CloudTopology, QuantumCloud
+from repro.cloud.job import job_counter_state
+from repro.multitenant import ClusterSimulationError, MultiTenantSimulator
+from repro.placement import Placement, PlacementAlgorithm
 from repro.scheduling import AverageScheduler, CloudQCScheduler, GreedyScheduler
-from repro.sim import (
-    DEFAULT_LATENCY,
-    ExecutionError,
-    NetworkExecutor,
-    ScheduledJob,
-    local_execution_time,
-    mean_completion_time,
-)
+from repro.sim import DEFAULT_LATENCY, NetworkExecutor, local_execution_time
+
+
+class FixedMapping(PlacementAlgorithm):
+    """Places every circuit with one given mapping."""
+
+    name = "fixed"
+
+    def __init__(self, mapping):
+        self.mapping = dict(mapping)
+
+    def place(self, circuit, cloud, seed=None, context=None):
+        return Placement(circuit, dict(self.mapping), algorithm=self.name)
 
 
 @pytest.fixture
@@ -73,11 +82,27 @@ class TestDeterministicExecution:
         assert result.completion_time == pytest.approx(3 * 10.0 + 6.0)
 
     def test_start_time_offsets_completion(self, two_qpu_cloud, remote_pair_circuit):
-        executor = NetworkExecutor(two_qpu_cloud, CloudQCScheduler())
-        job = ScheduledJob("late", remote_pair_circuit, {0: 0, 1: 1}, start_time=100.0)
-        result = executor.execute([job], seed=1)["late"]
-        assert result.start_time == 100.0
+        simulator = MultiTenantSimulator(
+            two_qpu_cloud, FixedMapping({0: 0, 1: 1}), CloudQCScheduler()
+        )
+        (result,) = simulator.run_batch(
+            [remote_pair_circuit], seed=1, arrival_times=[100.0]
+        )
+        assert result.placement_time == 100.0
         assert result.completion_time == pytest.approx(116.0)
+        assert result.epr_rounds == 1
+
+    def test_execution_leaves_the_job_counter_still(
+        self, two_qpu_cloud, remote_pair_circuit
+    ):
+        # Later run_batch calls take their job ids from this counter, and
+        # the schedulers break ties on those ids.
+        before = job_counter_state()
+        result = NetworkExecutor(two_qpu_cloud, CloudQCScheduler()).execute(
+            remote_pair_circuit, {0: 0, 1: 1}, seed=1
+        )
+        assert result.job_id == "job-0"
+        assert job_counter_state() == before
 
 
 class TestProbabilisticExecution:
@@ -130,27 +155,21 @@ class TestProbabilisticExecution:
 
 
 class TestMultiJobExecution:
+    """Jobs placed side by side share the communication qubits each round."""
+
     def test_competing_jobs_share_communication_qubits(self, two_qpu_cloud):
         circuit = QuantumCircuit(2)
         circuit.cx(0, 1)
-        jobs = [
-            ScheduledJob(f"job-{i}", circuit, {0: 0, 1: 1}) for i in range(4)
-        ]
-        executor = NetworkExecutor(two_qpu_cloud, AverageScheduler())
-        results = executor.execute(jobs, seed=1)
+        simulator = MultiTenantSimulator(
+            two_qpu_cloud, FixedMapping({0: 0, 1: 1}), AverageScheduler()
+        )
+        results = simulator.run_batch([circuit] * 4, seed=1)
         assert len(results) == 4
+        assert {result.placement_time for result in results} == {0.0}
         # Only 2 communication qubits per QPU: four single-gate jobs cannot all
         # finish in the first round.
-        finish_times = sorted(r.completion_time for r in results.values())
+        finish_times = sorted(r.completion_time for r in results)
         assert finish_times[-1] > finish_times[0]
-
-    def test_mean_completion_time_helper(self, two_qpu_cloud, remote_pair_circuit):
-        executor = NetworkExecutor(two_qpu_cloud, CloudQCScheduler())
-        results = executor.execute(
-            [ScheduledJob("a", remote_pair_circuit, {0: 0, 1: 1})], seed=1
-        )
-        assert mean_completion_time(results) == pytest.approx(16.0)
-        assert mean_completion_time({}) == 0.0
 
     def test_greedy_starves_competitors(self):
         # Two chains of remote gates competing for one communication qubit pair.
@@ -161,18 +180,17 @@ class TestMultiJobExecution:
         chain = QuantumCircuit(2)
         for _ in range(3):
             chain.cx(0, 1)
-        jobs = [
-            ScheduledJob("long", chain, {0: 0, 1: 1}),
-            ScheduledJob("short", chain, {0: 0, 1: 1}),
-        ]
-        greedy_results = NetworkExecutor(cloud, GreedyScheduler()).execute(jobs, seed=1)
+        simulator = MultiTenantSimulator(
+            cloud, FixedMapping({0: 0, 1: 1}), GreedyScheduler()
+        )
+        greedy_results = simulator.run_batch([chain, chain], seed=1)
         # With a single pair per round the two jobs' six gates serialise.
-        assert max(r.epr_rounds for r in greedy_results.values()) == 6
+        assert max(r.epr_rounds for r in greedy_results) == 6
 
 
 class TestUnrunnableOperations:
     """An operation whose QPU has no communication qubits can never be
-    granted a pair; execution must say so at once, not after max_rounds."""
+    granted a pair; execution must say so at once, not after max_events."""
 
     @pytest.mark.parametrize(
         "qpus",
@@ -184,9 +202,10 @@ class TestUnrunnableOperations:
     )
     def test_fails_fast_naming_job_op_and_qpu(self, qpus, remote_pair_circuit):
         cloud = QuantumCloud(CloudTopology.line(2), qpus=qpus)
-        executor = NetworkExecutor(cloud, CloudQCScheduler())  # default max_rounds
+        executor = NetworkExecutor(cloud, CloudQCScheduler())
         with pytest.raises(
-            ExecutionError, match=r"job job-0: remote operation 0 needs QPU 1"
+            ClusterSimulationError,
+            match=r"job job-0: remote operation 0 needs QPU 1",
         ):
             executor.execute_single(remote_pair_circuit, {0: 0, 1: 1}, seed=1)
 

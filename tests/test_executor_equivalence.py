@@ -10,11 +10,12 @@ per-QPU hook, as the old loop's did not.
 
 The cluster simulator draws one placement seed, ``rng.integers(1 << 31)``,
 before its first EPR round.  Fed a generator advanced by that one draw, the
-reference must match a one-job ``run_batch`` with a fixed mapping exactly,
-for every registered scheduler, on random circuits, mappings, topologies
-(with an off-fleet relay node and a per-link probability), communication
-capacities, EPR probabilities, latency models and seeds.  Fed the plain
-generator, it must match the executor as it stands, so the copy is faithful.
+reference must match ``NetworkExecutor`` exactly -- completion time, EPR
+rounds, local time and remote-operation count -- for every registered
+scheduler, on random circuits, mappings, topologies (with an off-fleet
+relay node and a per-link probability), communication capacities, EPR
+probabilities, latency models and seeds.  That draw is the only difference
+between the two round models.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
 from repro.cloud import QPU, CloudTopology, QuantumCloud
-from repro.multitenant import MultiTenantSimulator
 from repro.network import EPRModel
-from repro.placement import Placement, PlacementAlgorithm
 from repro.scheduling import NETWORK_SCHEDULERS, RemoteDAG, get_scheduler
 from repro.sim import (
     DEFAULT_LATENCY,
@@ -87,18 +86,6 @@ def advanced_rng(seed: int) -> np.random.Generator:
     rng = np.random.default_rng(seed)
     rng.integers(1 << 31)
     return rng
-
-
-class FixedMapping(PlacementAlgorithm):
-    """Places every circuit with one given mapping."""
-
-    name = "fixed"
-
-    def __init__(self, mapping: Dict[int, int]) -> None:
-        self.mapping = dict(mapping)
-
-    def place(self, circuit, cloud, seed=None, context=None):
-        return Placement(circuit, dict(self.mapping), algorithm=self.name)
 
 
 # ----------------------------------------------------------------------
@@ -165,44 +152,18 @@ def scenarios(draw):
     return cloud, circuit, mapping
 
 
-common = given(
+# ----------------------------------------------------------------------
+# Equivalence
+# ----------------------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(
     scenario=scenarios(),
     label=st.sampled_from(SCHEDULERS),
     latency=st.sampled_from(LATENCIES),
     probability=st.sampled_from((None, 0.2, 0.5)),
     seed=st.integers(0, 2**32 - 1),
 )
-
-
-# ----------------------------------------------------------------------
-# Equivalence
-# ----------------------------------------------------------------------
-@settings(max_examples=120, deadline=None)
-@common
-def test_one_job_cluster_run_matches_the_advanced_reference(
-    scenario, label, latency, probability, seed
-):
-    cloud, circuit, mapping = scenario
-    simulator = MultiTenantSimulator(
-        cloud,
-        FixedMapping(mapping),
-        make_scheduler(label),
-        latency=latency,
-        epr_success_probability=probability,
-    )
-    (result,) = simulator.run_batch([circuit], seed=seed)
-    completion, _, _, num_ops = ref_execute(
-        cloud, make_scheduler(label), circuit, mapping, advanced_rng(seed),
-        latency=latency, epr_success_probability=probability,
-    )
-    assert result.placement_time == 0.0
-    assert result.completion_time == completion
-    assert result.num_remote_operations == num_ops
-
-
-@settings(max_examples=60, deadline=None)
-@common
-def test_reference_matches_the_executor_loop(
+def test_executor_matches_the_old_loop_after_one_seed_draw(
     scenario, label, latency, probability, seed
 ):
     cloud, circuit, mapping = scenario
@@ -210,16 +171,15 @@ def test_reference_matches_the_executor_loop(
         cloud, make_scheduler(label), latency=latency,
         epr_success_probability=probability,
     )
-    result = executor.execute_single(circuit, mapping, seed=seed)
+    result = executor.execute(circuit, mapping, seed=seed)
     reference = ref_execute(
-        cloud, make_scheduler(label), circuit, mapping,
-        np.random.default_rng(seed), latency=latency,
-        epr_success_probability=probability,
+        cloud, make_scheduler(label), circuit, mapping, advanced_rng(seed),
+        latency=latency, epr_success_probability=probability,
     )
+    assert result.start_time == 0.0
     assert (
         result.completion_time,
         result.epr_rounds,
         result.local_time,
         result.num_remote_operations,
     ) == reference
-
