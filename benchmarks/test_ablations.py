@@ -60,7 +60,7 @@ def test_ablation_priority_vs_uniform_scheduling(benchmark, monkeypatch):
 
     def run():
         with_priority = [
-            executor.execute_single(circuit, placement.mapping, seed=s).completion_time
+            executor.execute(circuit, placement.mapping, seed=s).completion_time
             for s in seeds
         ]
         return float(np.mean(with_priority))
@@ -80,7 +80,7 @@ def test_ablation_priority_vs_uniform_scheduling(benchmark, monkeypatch):
     uniform_mean = float(
         np.mean(
             [
-                executor.execute_single(
+                executor.execute(
                     circuit, placement.mapping, seed=s
                 ).completion_time
                 for s in seeds

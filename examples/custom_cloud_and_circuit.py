@@ -64,7 +64,7 @@ def main() -> None:
         placement = placer.place(circuit, cloud, seed=1)
         remote_dag = RemoteDAG(circuit, placement.mapping)
         executor = NetworkExecutor(cloud, CloudQCScheduler())
-        result = executor.execute_single(circuit, placement.mapping, seed=1)
+        result = executor.execute(circuit, placement.mapping, seed=1)
         print(f"\n{placer.name} placement:")
         print(f"  QPUs used        : {placement.qpus_used()}")
         print(f"  remote operations: {placement.num_remote_operations()}")

@@ -161,7 +161,7 @@ def scheduling_comparison(
         for label, scheduler in schedulers.items():
             executor = NetworkExecutor(cloud, scheduler)
             times = [
-                executor.execute_single(
+                executor.execute(
                     circuit, placement.mapping, seed=seed + rep
                 ).completion_time
                 for rep in range(repetitions)
@@ -189,7 +189,7 @@ def sweep_communication_qubits(
         for label, scheduler in schedulers.items():
             executor = NetworkExecutor(cloud, scheduler)
             times = [
-                executor.execute_single(
+                executor.execute(
                     circuit, placement.mapping, seed=seed + rep
                 ).completion_time
                 for rep in range(repetitions)
@@ -218,7 +218,7 @@ def sweep_epr_probability(
                 cloud, scheduler, epr_success_probability=probability
             )
             times = [
-                executor.execute_single(
+                executor.execute(
                     circuit, placement.mapping, seed=seed + rep
                 ).completion_time
                 for rep in range(repetitions)

@@ -155,7 +155,7 @@ class CloudQCFramework:
         executor = NetworkExecutor(
             self.cloud, self.network_scheduler, latency=self.latency
         )
-        result = executor.execute_single(circuit, placement.mapping, seed=seed)
+        result = executor.execute(circuit, placement.mapping, seed=seed)
         return CircuitOutcome(placement=placement, result=result)
 
     # ------------------------------------------------------------------

@@ -346,7 +346,7 @@ class _EventDrivenBatch:
         self._job_capture_cache: Dict[str, Dict[str, Any]] = {}
         self._captured_results: List[Dict[str, Any]] = []
         self.cloud = simulator.template_cloud.clone_empty()
-        self._fleet_changed()
+        self._refresh_communication_capacity()
         self.latency = simulator.latency
         self.round_tail = self.latency.two_qubit_gate + self.latency.measurement
         self.rng = np.random.default_rng(seed)
@@ -990,7 +990,7 @@ class _EventDrivenBatch:
                 communication_capacity=communication,
             )
         )
-        self._fleet_changed()
+        self._refresh_communication_capacity()
         if self.telemetry is not None:
             self.telemetry.qpu_joined(event.qpu_id, now)
         return True
@@ -998,7 +998,7 @@ class _EventDrivenBatch:
     def _remove_qpu(self, qpu_id: int) -> None:
         """Take an idle QPU out of the fleet, remembering its capacities."""
         qpu = self.cloud.remove_qpu(qpu_id)
-        self._fleet_changed()
+        self._refresh_communication_capacity()
         self._departed_capacities[qpu_id] = (
             qpu.computing_capacity,
             qpu.communication_capacity,
@@ -1116,12 +1116,12 @@ class _EventDrivenBatch:
 
         return on_end
 
-    def _fleet_changed(self) -> None:
-        """Re-read the members' communication qubits after a fleet change.
+    def _refresh_communication_capacity(self) -> None:
+        """Re-read the fleet members' communication qubits.
 
-        They change only when a QPU joins or leaves (or a snapshot is
-        restored), so rounds and activation checks read this dict instead of
-        rebuilding it from the cloud every round.
+        They change only when a QPU joins or leaves, or a snapshot is
+        restored; each of those calls this, so rounds and activation checks
+        read one dict instead of rebuilding it from the cloud every round.
         """
         self.communication_capacity = {
             qpu_id: qpu.communication_capacity
@@ -1619,7 +1619,7 @@ class _EventDrivenBatch:
         self.cloud._version_base = int(saved["version_base"])
         self.cloud._resource_graph_cache = None
         self.cloud._available_cache = None
-        self._fleet_changed()
+        self._refresh_communication_capacity()
 
     def _restore_state(self, state: Dict[str, Any], telemetry) -> None:
         """Adopt a full snapshot into this freshly constructed batch."""

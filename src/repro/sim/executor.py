@@ -116,5 +116,6 @@ class NetworkExecutor:
         mapping: Mapping[int, int],
         seed: Optional[int] = None,
     ) -> JobExecutionResult:
-        """Same as :meth:`execute`; the name the Sec. VI-C experiments use."""
+        """Same as :meth:`execute`, under the name perfbench's ``paper-fig22``
+        workload calls."""
         return self.execute(circuit, mapping, seed=seed)

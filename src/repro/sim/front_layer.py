@@ -1,4 +1,4 @@
-"""Shared front-layer tracking and the EPR-round kernel for remote-operation DAGs.
+"""Front-layer tracking and the EPR-round kernel for remote-operation DAGs.
 
 The event-driven cluster simulator executes every placed job's
 :class:`~repro.scheduling.RemoteDAG` in EPR rounds (a single placed circuit

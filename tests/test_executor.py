@@ -57,9 +57,12 @@ class TestLocalExecutionTime:
 class TestDeterministicExecution:
     def test_single_remote_gate_timing(self, two_qpu_cloud, remote_pair_circuit):
         executor = NetworkExecutor(two_qpu_cloud, CloudQCScheduler())
-        result = executor.execute_single(
+        result = executor.execute(
             remote_pair_circuit, {0: 0, 1: 1}, seed=1
         )
+        assert executor.execute_single(
+            remote_pair_circuit, {0: 0, 1: 1}, seed=1
+        ) == result
         # With p=1 the single remote gate needs one EPR round + CX + measure.
         expected = DEFAULT_LATENCY.epr_preparation + 1.0 + 5.0
         assert result.completion_time == pytest.approx(expected)
@@ -68,7 +71,7 @@ class TestDeterministicExecution:
 
     def test_local_job_completes_in_local_time(self, two_qpu_cloud, bell_circuit):
         executor = NetworkExecutor(two_qpu_cloud, CloudQCScheduler())
-        result = executor.execute_single(bell_circuit, {0: 0, 1: 0}, seed=1)
+        result = executor.execute(bell_circuit, {0: 0, 1: 0}, seed=1)
         assert result.completion_time == pytest.approx(1.1)
         assert result.epr_rounds == 0
 
@@ -77,7 +80,7 @@ class TestDeterministicExecution:
         for _ in range(3):
             circuit.cx(0, 1)
         executor = NetworkExecutor(two_qpu_cloud, CloudQCScheduler())
-        result = executor.execute_single(circuit, {0: 0, 1: 1}, seed=1)
+        result = executor.execute(circuit, {0: 0, 1: 1}, seed=1)
         assert result.epr_rounds == 3
         assert result.completion_time == pytest.approx(3 * 10.0 + 6.0)
 
@@ -112,11 +115,11 @@ class TestProbabilisticExecution:
         slow = NetworkExecutor(cloud, AverageScheduler(), epr_success_probability=0.1)
         fast = NetworkExecutor(cloud, AverageScheduler(), epr_success_probability=0.9)
         slow_mean = sum(
-            slow.execute_single(remote_pair_circuit, {0: 0, 1: 1}, seed=s).completion_time
+            slow.execute(remote_pair_circuit, {0: 0, 1: 1}, seed=s).completion_time
             for s in range(10)
         )
         fast_mean = sum(
-            fast.execute_single(remote_pair_circuit, {0: 0, 1: 1}, seed=s).completion_time
+            fast.execute(remote_pair_circuit, {0: 0, 1: 1}, seed=s).completion_time
             for s in range(10)
         )
         assert slow_mean > fast_mean
@@ -135,11 +138,11 @@ class TestProbabilisticExecution:
             cloud, CloudQCScheduler(max_redundancy=1), epr_success_probability=0.2
         )
         redundant_mean = sum(
-            redundant.execute_single(circuit, {0: 0, 1: 1}, seed=s).completion_time
+            redundant.execute(circuit, {0: 0, 1: 1}, seed=s).completion_time
             for s in range(8)
         )
         capped_mean = sum(
-            capped.execute_single(circuit, {0: 0, 1: 1}, seed=s).completion_time
+            capped.execute(circuit, {0: 0, 1: 1}, seed=s).completion_time
             for s in range(8)
         )
         assert redundant_mean < capped_mean
@@ -149,8 +152,8 @@ class TestProbabilisticExecution:
 
         placement = CloudQCPlacement().place(knn_circuit, default_cloud, seed=1)
         executor = NetworkExecutor(default_cloud, CloudQCScheduler())
-        a = executor.execute_single(knn_circuit, placement.mapping, seed=9)
-        b = executor.execute_single(knn_circuit, placement.mapping, seed=9)
+        a = executor.execute(knn_circuit, placement.mapping, seed=9)
+        b = executor.execute(knn_circuit, placement.mapping, seed=9)
         assert a.completion_time == b.completion_time
 
 
@@ -207,13 +210,13 @@ class TestUnrunnableOperations:
             ClusterSimulationError,
             match=r"job job-0: remote operation 0 needs QPU 1",
         ):
-            executor.execute_single(remote_pair_circuit, {0: 0, 1: 1}, seed=1)
+            executor.execute(remote_pair_circuit, {0: 0, 1: 1}, seed=1)
 
     def test_local_jobs_still_run_beside_a_zero_capacity_qpu(self, bell_circuit):
         cloud = QuantumCloud(
             CloudTopology.line(2), qpus={0: QPU(0, 4, 2), 1: QPU(1, 4, 0)}
         )
         executor = NetworkExecutor(cloud, CloudQCScheduler())
-        result = executor.execute_single(bell_circuit, {0: 1, 1: 1}, seed=1)
+        result = executor.execute(bell_circuit, {0: 1, 1: 1}, seed=1)
         assert result.epr_rounds == 0
 

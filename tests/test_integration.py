@@ -60,12 +60,12 @@ class TestSchedulingQualityShape:
         placement = CloudQCPlacement().place(circuit, cloud, seed=1)
         cloudqc_time = (
             NetworkExecutor(cloud, CloudQCScheduler())
-            .execute_single(circuit, placement.mapping, seed=3)
+            .execute(circuit, placement.mapping, seed=3)
             .completion_time
         )
         greedy_time = (
             NetworkExecutor(cloud, GreedyScheduler())
-            .execute_single(circuit, placement.mapping, seed=3)
+            .execute(circuit, placement.mapping, seed=3)
             .completion_time
         )
         assert cloudqc_time < greedy_time
@@ -76,12 +76,12 @@ class TestSchedulingQualityShape:
         placement = CloudQCPlacement().place(circuit, cloud, seed=1)
         low = (
             NetworkExecutor(cloud, CloudQCScheduler(), epr_success_probability=0.1)
-            .execute_single(circuit, placement.mapping, seed=3)
+            .execute(circuit, placement.mapping, seed=3)
             .completion_time
         )
         high = (
             NetworkExecutor(cloud, CloudQCScheduler(), epr_success_probability=0.5)
-            .execute_single(circuit, placement.mapping, seed=3)
+            .execute(circuit, placement.mapping, seed=3)
             .completion_time
         )
         assert high < low

@@ -1,8 +1,8 @@
 """The paper benchmarks' shape checks can fail.
 
 ``benchmarks/shape_checks.py`` holds the "CloudQC is never the worst" check
-the Table III and Figs. 6-22 benchmarks share.  It used to be written inline
-as ``x["CloudQC"] <= max(x.values())`` with CloudQC inside ``x``, which
+the Table III and Figs. 6-22 benchmarks share.  Written as
+``x["CloudQC"] <= max(x.values())`` with CloudQC inside ``x``, that check
 holds for every input.  Here the helper gets recorded ledger rows, and the
 same rows mutated so that CloudQC is the worst method.
 """
@@ -38,7 +38,7 @@ def test_recorded_fig22_row_passes_and_its_mutation_fails(circuit):
     row = dict(_fig22_rows()[circuit])
     check_cloudqc_not_worst(row, f"fig22/{circuit}")
     row["CloudQC"] = max(row.values()) + 1.0
-    # The old inline form cannot tell the mutated row from the recorded one.
+    # The max-over-every-method form cannot tell the two rows apart.
     assert row["CloudQC"] <= max(row.values())
     with pytest.raises(AssertionError, match=f"fig22/{circuit}: CloudQC"):
         check_cloudqc_not_worst(row, f"fig22/{circuit}")
