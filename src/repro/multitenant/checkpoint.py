@@ -144,9 +144,15 @@ def read_snapshot(path: str) -> Dict[str, Any]:
             raw = handle.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read snapshot {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(
+            f"snapshot {path!r} is not UTF-8 text ({exc}); the file is "
+            "corrupt or was not written by this module"
+        ) from exc
     try:
         envelope = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # A RecursionError is JSON nested deeper than the parser goes.
         raise CheckpointError(
             f"snapshot {path!r} is not valid json ({exc}); the file is "
             "corrupt or was not written by this module"

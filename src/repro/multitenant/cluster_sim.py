@@ -125,7 +125,13 @@ from .preemption import (
     PreemptionPolicy,
     RunningJobView,
 )
-from .trace import TraceCursor, TraceReader, TraceRecord, cached_circuit
+from .trace import (
+    TraceCursor,
+    TraceReader,
+    TraceRecord,
+    _fail as _trace_record_error,
+    cached_circuit,
+)
 
 #: Event-loop tier of job-arrival events (see :meth:`EventLoop.schedule`).
 #: The cursor schedules each arrival mid-run, after events already queued
@@ -148,11 +154,23 @@ _INHERIT_CHECKPOINT = object()
 
 
 def _record_arrivals(records: Iterable[TraceRecord]) -> Iterator[_Arrival]:
-    """Trace records as cursor arrivals; each job's id is minted at arrival."""
-    return (
-        (record.arrival_time, record.resolve_circuit(), record.tenant, None)
-        for record in records
-    )
+    """Trace records as cursor arrivals; each job's id is minted at arrival.
+
+    A record naming a circuit the library cannot build raises
+    :class:`~repro.multitenant.TraceFormatError` with the record's index
+    (and its line, when a :class:`TraceCursor` reads it).
+    """
+    for index, record in enumerate(records):
+        try:
+            circuit = record.resolve_circuit()
+        except (KeyError, ValueError) as exc:
+            line = None
+            if isinstance(records, TraceCursor):
+                index, line = records.index - 1, records.line_no
+            raise _trace_record_error(
+                index, line, f"unknown circuit {record.circuit!r}: {exc}"
+            ) from None
+        yield record.arrival_time, circuit, record.tenant, None
 
 
 @dataclass

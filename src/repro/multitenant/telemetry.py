@@ -396,18 +396,29 @@ def iter_events(
     flushes after every event, so a crashed run can tear at most the last
     line of the file, and that torn tail is a recoverable artifact rather
     than corruption.  A malformed line anywhere *before* the end still
-    raises -- nothing legitimate produces one.
+    raises -- nothing legitimate produces one.  So does, on any line, a
+    value that is not a JSON object, or (in a file read by path) bytes
+    that are not UTF-8: the exporter writes ASCII JSON objects only, so a
+    torn tail is neither.  Every such error is a ``ValueError`` naming the
+    line.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(os.fspath(source), "r", encoding="utf-8") as stream:
+        with open(os.fspath(source), "rb") as stream:
             yield from _parse_event_lines(stream)
         return
     yield from _parse_event_lines(source)
 
 
-def _parse_event_lines(lines: Iterable[str]) -> Iterable[dict]:
-    torn: Optional[Tuple[int, ValueError]] = None
+def _parse_event_lines(lines: Iterable[Union[str, bytes]]) -> Iterable[dict]:
+    torn: Optional[Tuple[int, Exception]] = None
     for line_no, raw in enumerate(lines, 1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"telemetry event line {line_no} is not UTF-8: {exc}"
+                ) from None
         line = raw.strip()
         if not line:
             continue
@@ -418,9 +429,15 @@ def _parse_event_lines(lines: Iterable[str]) -> Iterable[dict]:
             )
         try:
             record = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
+            # A RecursionError is JSON nested deeper than the parser goes.
             torn = (line_no, exc)
             continue
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"telemetry event line {line_no} is not a JSON object: "
+                f"{line[:80]!r}"
+            )
         yield record
     if torn is not None:
         warnings.warn(

@@ -309,7 +309,7 @@ class TraceReader:
     def _read_jsonl_header(self, line: str, line_no: int) -> dict:
         try:
             header = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TraceFormatError(
                 f"line {line_no}: trace header is not valid JSON: {exc}"
             ) from None
@@ -340,7 +340,8 @@ class TraceReader:
     def _parse_jsonl_record(self, line: str, index: int, line_no: int) -> TraceRecord:
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # A RecursionError is JSON nested deeper than the parser goes.
             raise _fail(index, line_no, f"invalid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise _fail(index, line_no, f"record must be an object, got {raw!r}")
@@ -609,7 +610,14 @@ class TraceCursor:
         self._offset += len(raw)
         if self._line_no is not None:
             self._line_no += 1
-        return raw.decode("utf-8")
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            if self._data_offset is None:
+                raise TraceFormatError(
+                    f"line {self._line_no}: trace header is not UTF-8: {exc}"
+                ) from None
+            raise _fail(self._index, self._line_no, f"not UTF-8: {exc}") from None
 
     def _read_prologue(self) -> None:
         """Consume the header (and CSV column row), stopping at record 0."""

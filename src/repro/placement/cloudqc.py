@@ -20,6 +20,7 @@ argument of :meth:`CloudQCPlacement.place` does not change it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits import QuantumCircuit
@@ -158,19 +159,19 @@ class CloudQCPlacement(PlacementAlgorithm):
         if num_parts > circuit.num_qubits:
             return None
         assignment = context.partition(circuit, num_parts, imbalance)
-        part_sizes: Dict[int, int] = {}
-        for part in assignment.values():
-            part_sizes[part] = part_sizes.get(part, 0) + 1
-        # Drop empty parts (the partitioner never creates them, but be safe).
-        part_sizes = {part: size for part, size in part_sizes.items() if size > 0}
-
+        part_sizes: Dict[int, int] = Counter(assignment.values())
         try:
             qpu_set = self._select_qpus(
                 cloud, circuit.num_qubits, len(part_sizes), context
             )
             quotient = context.quotient(circuit, assignment, num_parts, imbalance)
             part_to_qpu = map_partitions_to_qpus(
-                part_sizes, quotient, cloud, qpu_set, context=context
+                part_sizes,
+                quotient,
+                cloud,
+                qpu_set,
+                context=context,
+                order=context.part_order(circuit, num_parts, imbalance, quotient),
             )
             mapping = expand_parts_to_qubits(assignment, part_to_qpu)
         except (MappingError, CommunityError):

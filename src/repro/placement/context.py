@@ -16,8 +16,11 @@ Every partition and every community detection runs with one seed,
 * **circuit identity** keys the interaction graph and its networkx form,
   stored together with the CSR form the partitioner runs on, and
   ``(circuit, num_parts, imbalance)`` keys partition assignments and
-  quotient graphs.  Circuits are treated as frozen while registered with a
-  context (the simulator never mutates a submitted circuit).
+  quotient graphs.  A quotient's entry also holds Algorithm 2's part order
+  (:func:`~repro.placement.mapping.mapping_order`), computed once when the
+  entry is made; :meth:`PlacementContext.part_order` reads it back without
+  counting a memo lookup.  Circuits are treated as frozen while registered
+  with a context (the simulator never mutates a submitted circuit).
 * **cloud resource version** (:attr:`repro.cloud.QuantumCloud.resource_version`)
   keys community detection and QPU-set selection: equal versions imply an
   identical availability map, so the cached result is exactly what a fresh
@@ -33,6 +36,7 @@ treat cached graphs/assignments as read-only (the placement pipeline does).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 import networkx as nx
@@ -41,7 +45,7 @@ from ..circuits import InteractionGraph, QuantumCircuit, quotient_adjacency
 from ..cloud import QuantumCloud
 from ..community import graph_center, louvain_communities, select_qpu_community
 from ..partition import CSRGraph, partition_graph
-from .mapping import QuotientAdjacency
+from .mapping import QuotientAdjacency, mapping_order
 
 #: The seed of every ``partition_graph`` and Louvain run.  Fixed before any
 #: measurement; never tune it to a workload.
@@ -72,7 +76,10 @@ class PlacementContext:
         # The networkx form and the CSR form built from it share one entry.
         self._interaction_nx: Dict[int, Tuple[nx.Graph, CSRGraph]] = {}
         self._partitions: Dict[Tuple[int, int, float], Dict[int, int]] = {}
-        self._quotients: Dict[Tuple[int, int, float], QuotientAdjacency] = {}
+        # Each quotient is stored with its Algorithm 2 part order.
+        self._quotients: Dict[
+            Tuple[int, int, float], Tuple[QuotientAdjacency, Tuple[Hashable, ...]]
+        ] = {}
         # Cloud-side caches, keyed by (cloud identity, resource version, ...).
         self._clouds: Dict[int, QuantumCloud] = {}
         self._communities: Dict[Tuple[int, int], List[Set[Hashable]]] = {}
@@ -197,11 +204,31 @@ class PlacementContext:
         cached = self._quotients.get(key)
         if cached is not None:
             self.hits += 1
-            return cached
+            return cached[0]
         self.misses += 1
         quotient = self._quotient(circuit, assignment)
-        self._store(self._quotients, key, quotient)
+        order = tuple(mapping_order(Counter(assignment.values()), quotient))
+        self._store(self._quotients, key, (quotient, order))
         return quotient
+
+    def part_order(
+        self,
+        circuit: QuantumCircuit,
+        num_parts: int,
+        imbalance: float,
+        quotient: QuotientAdjacency,
+    ) -> Optional[Tuple[Hashable, ...]]:
+        """Algorithm 2's part order stored with ``quotient``, else ``None``.
+
+        ``None`` unless ``quotient`` *is* the object :meth:`quotient` cached
+        under the same key; the order is then :func:`mapping_order` of the
+        cached partition's part sizes and that quotient.  Reading it is not
+        a memo lookup: ``hits`` and ``misses`` do not move.
+        """
+        cached = self._quotients.get((id(circuit), num_parts, float(imbalance)))
+        if cached is None or cached[0] is not quotient:
+            return None
+        return cached[1]
 
     def _quotient(
         self, circuit: QuantumCircuit, assignment: Dict[int, int]

@@ -51,7 +51,9 @@ def _weighted_adjacency(
     }
 
 
-def _part_order(quotient: QuotientAdjacency, center_part: Hashable) -> List[Hashable]:
+def _bfs_part_order(
+    quotient: QuotientAdjacency, center_part: Hashable
+) -> List[Hashable]:
     """BFS order over the quotient graph from the centre, heaviest edges first."""
     order: List[Hashable] = []
     visited = {center_part}
@@ -63,10 +65,33 @@ def _part_order(quotient: QuotientAdjacency, center_part: Hashable) -> List[Hash
             if neighbor not in visited:
                 visited.add(neighbor)
                 queue.append(neighbor)
-    # Parts disconnected from the centre (no cross edges) come last, largest first.
+    # Parts disconnected from the centre come last, in label order.
     # detlint: ignore[DET003] part labels are distinct ints; sorted() output is canonical regardless of set order
     for part in sorted(set(quotient) - visited):
         order.append(part)
+    return order
+
+
+def mapping_order(
+    part_sizes: Mapping[Hashable, int], quotient: QuotientAdjacency
+) -> List[Hashable]:
+    """The order Algorithm 2 maps parts in.
+
+    The quotient's centre part first (the largest part when no part crosses
+    another), then a heaviest-edge-first BFS from it, then every part the BFS
+    cannot reach.  A pure function of the partition, so
+    :meth:`PlacementContext.quotient` stores it with the cached quotient.
+    """
+    parts = list(part_sizes)
+    if quotient and any(quotient.values()):
+        center_part = graph_center(quotient)
+    else:
+        center_part = max(parts, key=lambda p: part_sizes[p])
+    order = _bfs_part_order(quotient, center_part) if quotient else list(parts)
+    # Parts not present in the quotient graph (fully local, no cross edges).
+    for part in parts:
+        if part not in order:
+            order.append(part)
     return order
 
 
@@ -77,6 +102,7 @@ def map_partitions_to_qpus(
     candidate_qpus: Sequence[int],
     allow_sharing: bool = True,
     context: Optional["PlacementContext"] = None,
+    order: Optional[Sequence[Hashable]] = None,
 ) -> Dict[Hashable, int]:
     """Map every part to a QPU drawn (preferentially) from ``candidate_qpus``.
 
@@ -89,8 +115,10 @@ def map_partitions_to_qpus(
         as a networkx graph or as the ``{part: {other: weight}}`` adjacency
         :meth:`PlacementContext.quotient` returns.
     cloud:
-        The quantum cloud; availability is read live so multi-tenant placements
-        account for qubits already held by other jobs.
+        The quantum cloud; availability is read live (through the map
+        :meth:`~repro.cloud.QuantumCloud.available_computing` caches per
+        resource version) so multi-tenant placements account for qubits
+        already held by other jobs.
     candidate_qpus:
         QPUs selected by community detection (or BFS); other QPUs are used only
         if the candidates run out of capacity.
@@ -101,10 +129,14 @@ def map_partitions_to_qpus(
     context:
         Optional :class:`~repro.placement.PlacementContext`; memoizes the
         candidate set's topology center (a pure function of the static
-        topology, and a hot call on the attempt pipeline).
+        topology, and a hot call on the attempt pipeline).  The context
+        also stores each cached quotient's part order, which reaches this
+        function as ``order`` (:meth:`PlacementContext.part_order`).
+    order:
+        :func:`mapping_order` of ``part_sizes`` and ``quotient``; computed
+        here when ``None``.
     """
-    parts = list(part_sizes)
-    if not parts:
+    if not part_sizes:
         return {}
     quotient = _weighted_adjacency(quotient)
     qpu_ids = cloud.qpu_ids
@@ -112,24 +144,16 @@ def map_partitions_to_qpus(
     if not candidates:
         candidates = qpu_ids
 
-    available: Dict[int, int] = {
-        qpu_id: cloud.qpus[qpu_id].computing_available for qpu_id in qpu_ids
-    }
+    # A copy of the map the cloud caches per resource version; the loop
+    # below draws it down as it maps parts.
+    available = cloud.available_computing()
 
     if context is not None:
         community_center = context.topology_center(cloud, candidates)
     else:
         community_center = graph_center(cloud.topology.graph, candidates)
-    if quotient and any(quotient.values()):
-        center_part = graph_center(quotient)
-    else:
-        center_part = max(parts, key=lambda p: part_sizes[p])
-
-    order = _part_order(quotient, center_part) if quotient else list(parts)
-    # Parts not present in the quotient graph (fully local, no cross edges).
-    for part in parts:
-        if part not in order:
-            order.append(part)
+    if order is None:
+        order = mapping_order(part_sizes, quotient)
 
     distances = cloud.topology.distance_table()
     mapping: Dict[Hashable, int] = {}

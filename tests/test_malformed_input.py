@@ -1,0 +1,155 @@
+"""Malformed input ends in each reader's named error, never a deep traceback.
+
+Each case feeds one reader bytes it must refuse: non-UTF-8 text, JSON nested
+deeper than the parser recurses, a JSON value of the wrong shape, or a trace
+record naming a circuit the library cannot build.  ``TraceReader`` and
+``run_stream`` must raise :class:`TraceFormatError` with the record index and
+line, ``read_snapshot`` a :class:`CheckpointError` naming the snapshot, and
+``iter_events`` / ``Telemetry.from_events`` a ``ValueError`` naming the event
+line.  The torn-final-line tolerance of ``iter_events`` is pinned in
+``tests/test_telemetry_recovery.py``.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.cloud import CloudTopology, QuantumCloud
+from repro.multitenant import (
+    CheckpointError,
+    MultiTenantSimulator,
+    Telemetry,
+    TraceFormatError,
+    TraceReader,
+    iter_events,
+    read_snapshot,
+)
+from repro.placement import RandomPlacement
+from repro.scheduling import CloudQCScheduler
+
+#: JSON nested far deeper than ``json.loads`` recurses.
+DEEP = "[" * 100_000
+#: Latin-1 "é": not a valid UTF-8 byte sequence.
+NOT_UTF8 = b"\xe9"
+EVENT = json.dumps({"event": "job_arrived", "t": 0.0, "job": "job-0"})
+#: Both event-stream readers, each given a path.
+EVENT_READERS = pytest.mark.parametrize(
+    "read",
+    [lambda path: list(iter_events(path)), Telemetry.from_events],
+    ids=["iter_events", "from_events"],
+)
+
+
+def write_trace(path, record_line: bytes, fmt: str = "jsonl") -> None:
+    """A header, one valid record, then ``record_line`` as record #1."""
+    if fmt == "jsonl":
+        head = b'{"schema": "repro-trace", "version": 1}\n'
+        good = b'{"t": 0.0, "circuit": "ghz_n4"}\n'
+    else:
+        head = b"# repro-trace v1\narrival_time,circuit\n"
+        good = b"0.0,ghz_n4\n"
+    path.write_bytes(head + good + record_line + b"\n")
+
+
+def simulator() -> MultiTenantSimulator:
+    cloud = QuantumCloud(CloudTopology.line(3), computing_qubits_per_qpu=10)
+    return MultiTenantSimulator(cloud, RandomPlacement(), CloudQCScheduler())
+
+
+class TestTraceReader:
+    @pytest.mark.parametrize(
+        "fmt, line",
+        [
+            ("jsonl", b'{"t": 1.0, "circuit": "ghz_n4' + NOT_UTF8 + b'"}'),
+            ("csv", b"1.0,ghz_n4" + NOT_UTF8),
+        ],
+    )
+    def test_non_utf8_record(self, tmp_path, fmt, line):
+        path = tmp_path / f"trace.{fmt}"
+        write_trace(path, line, fmt)
+        with pytest.raises(TraceFormatError, match=r"record #1 \(line \d\).*UTF-8"):
+            list(TraceReader(path))
+
+    def test_non_utf8_header(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b'{"schema": "repro-trace' + NOT_UTF8 + b'"}\n')
+        with pytest.raises(TraceFormatError, match=r"line 1: trace header.*UTF-8"):
+            list(TraceReader(path))
+
+    def test_deeply_nested_record(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, DEEP.encode())
+        with pytest.raises(TraceFormatError, match=r"record #1 \(line 3\).*JSON"):
+            list(TraceReader(path))
+
+    def test_deeply_nested_header(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(DEEP.encode() + b"\n")
+        with pytest.raises(TraceFormatError, match=r"line 1: trace header"):
+            list(TraceReader(path))
+
+
+class TestRunStream:
+    def test_non_utf8_trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, b'{"t": 1.0, "circuit": "ghz_n4' + NOT_UTF8 + b'"}')
+        with pytest.raises(TraceFormatError, match=r"record #1 \(line 3\)"):
+            simulator().run_stream(trace=path, seed=0)
+
+    def test_unknown_circuit_in_path_trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, b'{"t": 1.0, "circuit": "nope_n4"}')
+        with pytest.raises(
+            TraceFormatError, match=r"record #1 \(line 3\): unknown circuit 'nope_n4'"
+        ):
+            simulator().run_stream(trace=path, seed=0)
+
+    def test_unknown_circuit_in_reader_trace(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(path, b"1.0,nope_n4", "csv")
+        with pytest.raises(
+            TraceFormatError, match=r"record #1: unknown circuit 'nope_n4'"
+        ):
+            simulator().run_stream(trace=TraceReader(path), seed=0)
+
+
+class TestReadSnapshot:
+    def test_non_utf8_snapshot(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_bytes(b'{"schema": "' + NOT_UTF8 + b'"}')
+        with pytest.raises(CheckpointError, match="snap.json.*not UTF-8"):
+            read_snapshot(str(path))
+
+    def test_deeply_nested_snapshot(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_text(DEEP)
+        with pytest.raises(CheckpointError, match="snap.json.*not valid json"):
+            read_snapshot(str(path))
+
+
+class TestEventStream:
+    def test_non_utf8_event_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(EVENT.encode() + b"\n" + NOT_UTF8 + b"\n" + EVENT.encode())
+        with pytest.raises(ValueError, match="line 2 is not UTF-8"):
+            list(iter_events(path))
+
+    @EVENT_READERS
+    def test_deeply_nested_event_line(self, tmp_path, read):
+        path = tmp_path / "events.jsonl"
+        path.write_text(f"{DEEP}\n{EVENT}\n")
+        with pytest.raises(ValueError, match="corrupt telemetry event on line 1"):
+            read(path)
+
+    @EVENT_READERS
+    def test_array_event_line(self, tmp_path, read):
+        path = tmp_path / "events.jsonl"
+        path.write_text(f"{EVENT}\n[1, 2]\n")
+        with pytest.raises(ValueError, match="line 2 is not a JSON object"):
+            read(path)
+
+    def test_non_object_event_line_from_lines(self):
+        with pytest.raises(ValueError, match="line 1 is not a JSON object"):
+            list(iter_events(["42\n", EVENT]))
