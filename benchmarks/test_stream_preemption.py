@@ -78,7 +78,6 @@ def run_replay(
     policy,
     cycles: int,
     fillers_per_cycle: int,
-    work_loss="resume",
     telemetry=None,
     keep_results=True,
 ):
@@ -94,7 +93,6 @@ def run_replay(
         batch_manager=fifo_batch_manager(),
         admission_policy=QueueingDeadline(max_delay=DEADLINE),
         preemption_policy=policy,
-        work_loss=work_loss,
     )
     trace = generate_anchor_burst_trace(
         cycles, fillers_per_cycle, num_qpus=NUM_QPUS

@@ -12,8 +12,7 @@ until they expire.
 :class:`~repro.multitenant.DeadlineRescue` flips the outcome: shortly before
 a queued filler would expire, it evicts the cheapest victim -- the anchor --
 frees its qubits, and the fillers run; the anchor resumes later, keeping its
-banked EPR successes under the default ``resume`` work-loss model (run with
-``--work-loss restart`` to see the wasted-work cost instead).
+banked EPR successes.
 
 Both legs replay through the streaming :class:`~repro.multitenant.Telemetry`
 sink (PR 6) with ``keep_results=False`` -- the table, including the
@@ -24,7 +23,7 @@ rebuilds the same report from that file without re-simulating.
 
 Run with::
 
-    python examples/stream_preemption.py [cycles] [seed] [--work-loss restart]
+    python examples/stream_preemption.py [cycles] [seed] [--export FILE.jsonl]
 
 ``cycles`` defaults to 4 (a couple of seconds); the scale benchmark in
 ``benchmarks/test_stream_preemption.py`` replays the full 5015-job trace.
@@ -36,7 +35,6 @@ import argparse
 
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.multitenant import (
-    WORK_LOSS_MODELS,
     DeadlineRescue,
     MultiTenantSimulator,
     NeverPreempt,
@@ -55,7 +53,7 @@ DEADLINE = 30.0
 RESCUE_HORIZON = 5.0
 
 
-def make_simulator(preemption_policy, work_loss):
+def make_simulator(preemption_policy):
     cloud = QuantumCloud(
         CloudTopology.line(NUM_QPUS),
         computing_qubits_per_qpu=10,
@@ -71,11 +69,10 @@ def make_simulator(preemption_policy, work_loss):
         batch_manager=fifo_batch_manager(),
         admission_policy=QueueingDeadline(max_delay=DEADLINE),
         preemption_policy=preemption_policy,
-        work_loss=work_loss,
     )
 
 
-def main(cycles: int, seed: int, work_loss: str, export: str | None) -> None:
+def main(cycles: int, seed: int, export: str | None) -> None:
     if cycles < 1:
         raise SystemExit("cycles must be at least 1")
     trace = generate_anchor_burst_trace(
@@ -83,8 +80,7 @@ def main(cycles: int, seed: int, work_loss: str, export: str | None) -> None:
     )
     print(
         f"trace: {len(trace)} jobs ({cycles} anchor/burst cycles), "
-        f"queueing deadline {DEADLINE:.0f} CX-time units, "
-        f"work-loss model: {work_loss}"
+        f"queueing deadline {DEADLINE:.0f} CX-time units"
     )
 
     header = (
@@ -94,7 +90,7 @@ def main(cycles: int, seed: int, work_loss: str, export: str | None) -> None:
     print("\n" + header)
     print("-" * len(header))
     for policy in [NeverPreempt(), DeadlineRescue(horizon=RESCUE_HORIZON)]:
-        simulator = make_simulator(policy, work_loss)
+        simulator = make_simulator(policy)
         # Bounded-memory replay: aggregates come straight off the sink; the
         # rescue leg optionally exports its structured event stream.
         rescue_leg = policy.name == DeadlineRescue.name
@@ -135,10 +131,7 @@ if __name__ == "__main__":
                         help="anchor/burst cycles (default 4)")
     parser.add_argument("seed", type=int, nargs="?", default=1,
                         help="simulation seed (default 1)")
-    parser.add_argument("--work-loss", choices=WORK_LOSS_MODELS,
-                        default="resume",
-                        help="what a resumed job keeps (default: resume)")
     parser.add_argument("--export", metavar="FILE.jsonl", default=None,
                         help="write the rescue leg's telemetry event stream")
     cli_args = parser.parse_args()
-    main(cli_args.cycles, cli_args.seed, cli_args.work_loss, cli_args.export)
+    main(cli_args.cycles, cli_args.seed, cli_args.export)

@@ -19,14 +19,7 @@ organised bottom-up:
 * :mod:`repro.core` -- the :class:`~repro.core.CloudQCFramework` facade.
 """
 
-from .core import (
-    CircuitOutcome,
-    CloudConfig,
-    CloudQCFramework,
-    FrameworkConfig,
-    PlacementConfig,
-    SchedulingConfig,
-)
+from .core import CircuitOutcome, CloudQCFramework
 from .circuits import QuantumCircuit
 from .cloud import CloudTopology, QuantumCloud
 from .placement import Placement
@@ -35,14 +28,10 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CircuitOutcome",
-    "CloudConfig",
     "CloudQCFramework",
     "CloudTopology",
-    "FrameworkConfig",
     "Placement",
-    "PlacementConfig",
     "QuantumCircuit",
     "QuantumCloud",
-    "SchedulingConfig",
     "__version__",
 ]

@@ -85,8 +85,9 @@ class Controller:
         """Evict a placed/running job back to PENDING, freeing its qubits.
 
         The job keeps its identity and arrival time and may be re-placed by a
-        later placement pass; how much of its work survives is the
-        simulator's work-loss model, not the controller's concern.
+        later placement pass; the work it banked is the simulator's
+        ledger (:class:`~repro.multitenant.JobProgress`), not the
+        controller's concern.
         """
         if job.status not in (JobStatus.PLACED, JobStatus.RUNNING):
             raise PlacementError(

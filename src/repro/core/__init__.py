@@ -1,13 +1,8 @@
 """Public facade of the CloudQC reproduction."""
 
-from .config import CloudConfig, FrameworkConfig, PlacementConfig, SchedulingConfig
 from .framework import CircuitOutcome, CloudQCFramework
 
 __all__ = [
     "CircuitOutcome",
-    "CloudConfig",
     "CloudQCFramework",
-    "FrameworkConfig",
-    "PlacementConfig",
-    "SchedulingConfig",
 ]

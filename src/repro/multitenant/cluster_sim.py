@@ -37,11 +37,11 @@ stream bit-identical to the pre-admission-control simulator.
 
 Placements are no longer irrevocable: a pluggable *preemption policy*
 (:mod:`repro.multitenant.preemption`) runs at every decision point between
-retire and place, and may evict running jobs back to the pending queue; the
-work-loss model decides whether a resumed job keeps its banked EPR
-successes.  The default :class:`~repro.multitenant.NeverPreempt` disables the
-stage outright, keeping seeded runs bit-identical to the paper's
-irrevocable-placement behavior.
+retire and place, and may evict running jobs back to the pending queue; a
+resumed job keeps its banked EPR successes.  The default
+:class:`~repro.multitenant.NeverPreempt` disables the stage outright,
+keeping seeded runs bit-identical to the paper's irrevocable-placement
+behavior.
 
 Idle gaps (no runnable remote operation) are skipped by scheduling the next
 tick directly at the next completion time; the next arrival is always queued
@@ -117,7 +117,6 @@ from .faults import (
     QPUJoin,
 )
 from .preemption import (
-    WORK_LOSS_MODELS,
     ClusterView,
     JobProgress,
     NeverPreempt,
@@ -186,8 +185,8 @@ class TenantJobResult:
     Preemption (see :mod:`repro.multitenant.preemption`) adds transit
     accounting: ``num_preemptions``/``num_migrations`` count how often the
     job was evicted or moved on its way to ``outcome``, and ``wasted_time``
-    is the execution time whose work was discarded (non-zero only under the
-    ``restart`` work-loss model, or for jobs that ended preempted).  A job
+    is the execution time whose work was discarded (non-zero only for jobs
+    that ended preempted or failed: a resumed job keeps its work).  A job
     evicted and never resumed by the end of the run is reported with
     ``outcome="preempted"``: its ``placement_time`` records the *first*
     placement (it did run), completion stays NaN, and ``dropped_time`` is
@@ -262,16 +261,8 @@ class _ActiveJob:
             self.completion_time = self.start_time + self.local_time
 
     @property
-    def ready(self) -> Set[int]:
-        return self.front.ready
-
-    @property
     def completed_ops(self) -> int:
         return self.front.completed
-
-    @property
-    def remote_done(self) -> bool:
-        return self.front.done
 
     def finish_operation(self, node_id: int, finish_time: float) -> None:
         self.front.finish(node_id, finish_time)
@@ -317,7 +308,6 @@ class _EventDrivenBatch:
         "placement_context": "memo of interaction graphs (networkx and CSR forms), partitions, quotients, detected communities, community/BFS QPU sets and topology centers, each a pure function of its key; a cold context after restore recomputes bit-identical placements",
         "min_pending_qubits": "pruning hint derived from the pending queue; _restore_state recomputes it from the restored 'pending' key",
         "preemption_enabled": "derived from the preemption policy type in __init__",
-        "resume_work": "derived from the simulator's work_loss in __init__",
         "expiry_handles": "event-loop handles; _restore_state re-binds them from the restored 'engine' events labelled expire:<job id>",
         "tick_handle": "event-loop handle; _restore_state re-binds it from the restored 'engine' event labelled tick",
         "_trace_info": "captured as the 'trace' key",
@@ -399,7 +389,6 @@ class _EventDrivenBatch:
         self.preemption = simulator.preemption_policy
         self.preemption.reset()
         self.preemption_enabled = bool(self.preemption.enabled)
-        self.resume_work = simulator.work_loss == "resume"
         self.progress: Dict[str, JobProgress] = {}
         self.active: Dict[str, _ActiveJob] = {}
         self.expiry_handles: Dict[str, EventHandle] = {}
@@ -792,10 +781,8 @@ class _EventDrivenBatch:
         """Build the execution state for a (re-)placed job.
 
         A job that was preempted or migrated carries a :class:`JobProgress`
-        ledger; under the ``resume`` work-loss model its banked local
-        execution time and already-succeeded EPR rounds are credited here,
-        so resumed work is never redone (under ``restart`` the ledger is
-        empty and the job starts from scratch).
+        ledger; its banked local execution time and already-succeeded EPR
+        rounds are credited here, so resumed work is never redone.
 
         Raises :class:`ClusterSimulationError` when a remote operation needs
         a QPU without communication qubits (or outside the fleet): it could
@@ -908,7 +895,6 @@ class _EventDrivenBatch:
             # job loses its qubits mid-round, so they are not banked.
             completed_ops=state.completed_ops - state.in_flight_ops,
             now=now,
-            resume=self.resume_work,
         )
 
     def _preempt(self, state: _ActiveJob, now: float) -> None:
@@ -1025,11 +1011,10 @@ class _EventDrivenBatch:
     def _fail_qpu(self, qpu_id: int, now: float) -> bool:
         """Abrupt failure: every job holding qubits here is interrupted.
 
-        In-flight EPR work is lost per the existing work-loss model (the
-        eviction banks ``completed_ops - in_flight_ops``, exactly like a
-        policy preemption); the jobs are then requeued or dropped terminally
-        (outcome ``failed``) per the injector's ``on_failure`` mode --
-        exactly once each.  Failing a non-member or the last fleet member is
+        In-flight EPR work is lost (the eviction banks ``completed_ops -
+        in_flight_ops``, exactly like a policy preemption); the jobs are
+        then requeued or dropped terminally (outcome ``failed``) per the
+        injector's ``on_failure`` mode -- exactly once each.  Failing a non-member or the last fleet member is
         a no-op (the simulator never runs on an empty cloud).
         """
         if qpu_id not in self.cloud.qpus or self.cloud.num_qpus == 1:
@@ -1071,9 +1056,9 @@ class _EventDrivenBatch:
 
         Each affected job is live-migrated via :meth:`Controller.migrate`
         onto a placement computed with the draining QPU hidden; jobs with no
-        feasible placement are preempted and requeued (keeping banked work
-        per the work-loss model).  Either way every job is handled exactly
-        once, after which the idle QPU leaves the fleet.
+        feasible placement are preempted and requeued (keeping banked
+        work).  Either way every job is handled exactly once, after which
+        the idle QPU leaves the fleet.
         """
         if qpu_id not in self.cloud.qpus or self.cloud.num_qpus == 1:
             return False
@@ -1206,8 +1191,8 @@ class _EventDrivenBatch:
         self, job: Job, outcome: JobOutcome, dropped_time: float
     ) -> TenantJobResult:
         progress = self.progress.get(job.job_id)
-        wasted_time = progress.wasted_time if progress else 0.0
-        wasted_ops = progress.wasted_ops if progress else 0
+        wasted_time = 0.0
+        wasted_ops = 0
         placement_time = math.nan
         if (
             outcome in (JobOutcome.PREEMPTED, JobOutcome.FAILED)
@@ -1217,8 +1202,8 @@ class _EventDrivenBatch:
             # ever executed is lost work (including banked resume credit).
             if progress.first_placement_time is not None:
                 placement_time = progress.first_placement_time
-            wasted_time += progress.elapsed_local
-            wasted_ops += progress.completed_ops
+            wasted_time = progress.elapsed_local
+            wasted_ops = progress.completed_ops
         return TenantJobResult(
             job_id=job.job_id,
             circuit_name=job.circuit.name,
@@ -1253,8 +1238,6 @@ class _EventDrivenBatch:
             num_qpus_used=state.placement.num_qpus_used,
             num_preemptions=state.job.num_preemptions,
             num_migrations=state.job.num_migrations,
-            wasted_time=progress.wasted_time if progress else 0.0,
-            wasted_ops=progress.wasted_ops if progress else 0,
             epr_rounds=state.front.rounds,
         )
 
@@ -1274,7 +1257,6 @@ class _EventDrivenBatch:
             ),
             "admission_policy": type(self.admission).__name__,
             "preemption_policy": type(self.preemption).__name__,
-            "work_loss": sim.work_loss,
             "incremental_placement": bool(sim.incremental_placement),
             "max_events": sim.max_events,
             "seed": self._seed,
@@ -1478,8 +1460,6 @@ class _EventDrivenBatch:
                     {
                         "completed_ops": prog.completed_ops,
                         "elapsed_local": prog.elapsed_local,
-                        "wasted_time": prog.wasted_time,
-                        "wasted_ops": prog.wasted_ops,
                         "first_placement_time": prog.first_placement_time,
                     },
                 ]
@@ -1655,8 +1635,6 @@ class _EventDrivenBatch:
             job_id: JobProgress(
                 completed_ops=int(prog["completed_ops"]),
                 elapsed_local=float(prog["elapsed_local"]),
-                wasted_time=float(prog["wasted_time"]),
-                wasted_ops=int(prog["wasted_ops"]),
                 first_placement_time=None
                 if prog["first_placement_time"] is None
                 else float(prog["first_placement_time"]),
@@ -1882,7 +1860,6 @@ class MultiTenantSimulator:
         admission_policy: Optional[AdmissionPolicy] = None,
         incremental_placement: bool = True,
         preemption_policy: Optional[PreemptionPolicy] = None,
-        work_loss: str = "resume",
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         self.template_cloud = cloud
@@ -1892,16 +1869,9 @@ class MultiTenantSimulator:
         self.admission_policy = admission_policy or AdmitAll()
         # Preemption/migration of placed jobs (see repro.multitenant.
         # preemption): the default NeverPreempt keeps placements irrevocable
-        # and bit-identical to the pre-preemption simulator.  work_loss
-        # decides what a resumed job keeps: "resume" credits banked EPR
-        # successes and local execution time, "restart" redoes everything
-        # (the redone segment is reported as wasted_time).
+        # and bit-identical to the pre-preemption simulator.  A resumed job
+        # keeps its banked EPR successes and local execution time.
         self.preemption_policy = preemption_policy or NeverPreempt()
-        if work_loss not in WORK_LOSS_MODELS:
-            raise ValueError(
-                f"work_loss must be one of {WORK_LOSS_MODELS}, got {work_loss!r}"
-            )
-        self.work_loss = work_loss
         # Fleet dynamics (see repro.multitenant.faults): an optional
         # FaultInjector schedules QPU joins/drains/failures and calibration
         # windows into every run.  fault_injector=None (the default) keeps
@@ -2128,7 +2098,7 @@ class MultiTenantSimulator:
         elif trace_format is not None:
             raise ValueError("trace_format= only applies when trace= is a path")
         else:
-            # ClusterTrace (and adapter-like objects) or any record iterable.
+            # A ClusterTrace or any record iterable.
             iter_records = getattr(trace, "iter_records", None)
             records = iter_records() if callable(iter_records) else trace
         return _EventDrivenBatch(

@@ -63,8 +63,8 @@ class QPUJoin(FleetEvent):
 @dataclass(frozen=True)
 class QPUFail(FleetEvent):
     """Abrupt mid-round failure: jobs on the QPU lose their in-flight EPR
-    work (the existing work-loss model) and are requeued or dropped per the
-    injector's ``on_failure`` mode."""
+    work and are requeued or dropped per the injector's ``on_failure``
+    mode."""
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,8 @@ class FaultInjector:
         stable time order).
     on_failure:
         ``"requeue"`` (default) sends jobs interrupted by a :class:`QPUFail`
-        back to the pending queue keeping their banked work per the
-        simulator's work-loss model; ``"drop"`` removes them terminally with
-        outcome ``failed``.
+        back to the pending queue keeping their banked work; ``"drop"``
+        removes them terminally with outcome ``failed``.
     """
 
     def __init__(

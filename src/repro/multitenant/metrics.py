@@ -1,9 +1,10 @@
-"""Metrics for multi-tenant runs: JCT statistics, CDFs, and stream health.
+"""Metrics for multi-tenant runs: JCT statistics and stream health.
 
-Besides the completion-time statistics and CDFs of Figs. 14-17, this module
-aggregates the streaming-mode signals that admission control is judged by:
-the rejection rate, queueing-delay percentiles (p50/p95/p99), the pending
-queue depth over time, and the all-in-one :class:`StreamSummary`.
+Besides the completion-time statistics of Figs. 14-17 (their CDF summary
+is :func:`repro.analysis.format_cdf_summary`), this module aggregates the
+streaming-mode signals that admission control is judged by: the rejection
+rate, queueing-delay percentiles (p50/p95/p99), the pending queue depth
+over time, and the all-in-one :class:`StreamSummary`.
 """
 
 from __future__ import annotations
@@ -45,29 +46,6 @@ class CompletionStats:
         )
 
 
-def completion_cdf(times: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF points (time, fraction completed), as plotted in Figs. 14-17."""
-    if len(times) == 0:
-        return []
-    ordered = sorted(times)
-    total = len(ordered)
-    return [(value, (index + 1) / total) for index, value in enumerate(ordered)]
-
-
-def fraction_completed_by(times: Sequence[float], deadline: float) -> float:
-    """Fraction of jobs whose completion time is at most ``deadline``."""
-    if len(times) == 0:
-        return 0.0
-    return sum(1 for t in times if t <= deadline) / len(times)
-
-
-def cdf_at_percentile(times: Sequence[float], percentile: float) -> float:
-    """Completion time below which ``percentile`` percent of jobs finish."""
-    if len(times) == 0:
-        return 0.0
-    return float(np.percentile(np.asarray(times, dtype=float), percentile))
-
-
 def drop_aware_jct_percentile(results: Sequence, percentile: float) -> float:
     """JCT percentile over *all* submitted jobs, dropped ones counted as inf.
 
@@ -100,11 +78,6 @@ def relative_to_baseline(
     if reference == 0:
         raise ValueError("baseline value is zero; cannot normalise")
     return {name: value / reference for name, value in values.items()}
-
-
-def makespan(times: Sequence[float]) -> float:
-    """Completion time of the slowest job (batch makespan)."""
-    return float(max(times)) if len(times) else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -232,21 +205,6 @@ def max_queue_depth(results: Iterable) -> int:
 # ----------------------------------------------------------------------
 # Preemption / migration metrics
 # ----------------------------------------------------------------------
-def total_preemptions(results: Iterable) -> int:
-    """Total preemption events across the run (a job may contribute several)."""
-    return sum(getattr(result, "num_preemptions", 0) for result in results)
-
-
-def total_wasted_time(results: Iterable) -> float:
-    """Execution time whose work was discarded by preemptions/migrations.
-
-    Zero under the ``resume`` work-loss model unless a job ended the run
-    evicted (``outcome="preempted"``), in which case everything it ran is
-    counted as lost.
-    """
-    return float(sum(getattr(result, "wasted_time", 0.0) for result in results))
-
-
 @dataclass(frozen=True)
 class PreemptionStats:
     """Transit accounting for the preemption subsystem.

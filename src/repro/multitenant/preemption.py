@@ -1,4 +1,4 @@
-"""Preemption policies and the work-loss ledger for the multi-tenant simulator.
+"""Preemption policies and the work ledger for the multi-tenant simulator.
 
 The source paper treats a placement as irrevocable: once a job holds
 computing qubits it keeps them until completion (Sec. V-B, incoming-job
@@ -6,10 +6,9 @@ mode).  Under bursty overload that is exactly wrong for tail latency -- a
 long-running job can pin capacity while queued arrivals expire in the
 pending queue.  A *preemption policy* is the missing lever: at every
 scheduler decision point it may evict running jobs back to the pending queue
-(releasing their computing qubits), and the simulator's *work-loss model*
-decides whether a resumed job keeps its already-succeeded EPR rounds
-(``resume``) or redoes everything (``restart``).  The same model applies to
-a job that a QPU drain live-migrates (see :mod:`repro.multitenant.faults`).
+(releasing their computing qubits).  A resumed job keeps its
+already-succeeded EPR rounds and its local execution time, and so does a
+job that a QPU drain live-migrates (see :mod:`repro.multitenant.faults`).
 
 Policies are deterministic decision functions over a read-only
 :class:`ClusterView`; none consume RNG, so seeded runs stay reproducible.
@@ -26,7 +25,7 @@ Built-ins:
   possible.
 
 Where preemption sits in the event-driven flow (decision point ordering,
-rescue-check events, the work-loss model) is documented in
+rescue-check events, resumed work) is documented in
 ``docs/architecture.md`` ("Preemption & migration").
 """
 
@@ -36,9 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cloud import Job
-
-#: Work-loss models for resumed jobs (validated by the simulator).
-WORK_LOSS_MODELS = ("resume", "restart")
 
 
 # ----------------------------------------------------------------------
@@ -262,41 +258,26 @@ class DeadlineRescue(PreemptionPolicy):
 # ----------------------------------------------------------------------
 @dataclass
 class JobProgress:
-    """What a job has banked (and wasted) across preemptions/migrations.
+    """What a job has banked across preemptions/migrations.
 
     A pure work ledger: the preemption/migration *event counts* live on the
     :class:`~repro.cloud.Job` itself (``num_preemptions``,
     ``num_migrations``), updated by the controller transitions, so there is
     a single source of truth for them.  ``completed_ops`` and
     ``elapsed_local`` are the credit a resumed job carries into its next
-    placement under the ``resume`` work-loss model; under ``restart`` they
-    stay zero and the lost segment is accounted in ``wasted_time`` /
-    ``wasted_ops`` instead.  ``first_placement_time`` is recorded at the
-    first eviction so the job's queueing delay keeps measuring the wait for
-    its *first* placement.
+    placement; a job that ends the run evicted or failed reports them as
+    wasted work.  ``first_placement_time`` is recorded at the first
+    eviction so the job's queueing delay keeps measuring the wait for its
+    *first* placement.
     """
 
     completed_ops: int = 0
     elapsed_local: float = 0.0
-    wasted_time: float = 0.0
-    wasted_ops: int = 0
     first_placement_time: Optional[float] = field(default=None)
 
-    def record_stop(
-        self,
-        start_time: float,
-        completed_ops: int,
-        now: float,
-        resume: bool,
-    ) -> None:
+    def record_stop(self, start_time: float, completed_ops: int, now: float) -> None:
         """Fold one interrupted execution segment into the ledger."""
         if self.first_placement_time is None:
             self.first_placement_time = start_time
-        if resume:
-            self.completed_ops = completed_ops
-            self.elapsed_local += now - start_time
-        else:
-            self.wasted_time += now - start_time
-            self.wasted_ops += completed_ops
-            self.completed_ops = 0
-            self.elapsed_local = 0.0
+        self.completed_ops = completed_ops
+        self.elapsed_local += now - start_time

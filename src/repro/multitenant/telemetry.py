@@ -402,6 +402,14 @@ def iter_events(
     torn tail is neither.  Every such error is a ``ValueError`` naming the
     line.
     """
+    for _, record in _numbered_events(source):
+        yield record
+
+
+def _numbered_events(
+    source: Union[str, os.PathLike, IO[str], Iterable[str]]
+) -> Iterable[Tuple[int, dict]]:
+    """:func:`iter_events` with each record's line number."""
     if isinstance(source, (str, os.PathLike)):
         with open(os.fspath(source), "rb") as stream:
             yield from _parse_event_lines(stream)
@@ -409,7 +417,9 @@ def iter_events(
     yield from _parse_event_lines(source)
 
 
-def _parse_event_lines(lines: Iterable[Union[str, bytes]]) -> Iterable[dict]:
+def _parse_event_lines(
+    lines: Iterable[Union[str, bytes]]
+) -> Iterable[Tuple[int, dict]]:
     torn: Optional[Tuple[int, Exception]] = None
     for line_no, raw in enumerate(lines, 1):
         if isinstance(raw, bytes):
@@ -438,14 +448,103 @@ def _parse_event_lines(lines: Iterable[Union[str, bytes]]) -> Iterable[dict]:
                 f"telemetry event line {line_no} is not a JSON object: "
                 f"{line[:80]!r}"
             )
-        yield record
+        yield line_no, record
     if torn is not None:
         warnings.warn(
             f"skipping truncated telemetry event on final line {torn[0]} "
             "(crash artifact)",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _is_number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_qpu(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_qpu_list(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_qpu, value))
+
+
+def _is_tenant(value: Any) -> bool:
+    # A per-tenant counter key, so hashable: never null, a list or an object.
+    return isinstance(value, (str, int, float))
+
+
+#: What a field the offline replay reads must hold: (check, description).
+_FIELD_KINDS = {
+    "number": (_is_number, "a finite number"),
+    "count": (_is_count, "a non-negative integer"),
+    "qpu": (_is_qpu, "an integer QPU id"),
+    "qpus": (_is_qpu_list, "a list of integer QPU ids"),
+    "tenant": (_is_tenant, "a string or number"),
+}
+_TERMINAL_WORK = (
+    ("n_preempt", "count"),
+    ("n_migrate", "count"),
+    ("wasted_time", "number"),
+    ("wasted_ops", "count"),
+)
+#: The fields :meth:`Telemetry.from_events` reads from an event type besides
+#: ``t``, which it reads from every event, as (field, kind).  Terminal
+#: events' optional ``wait`` and ``tenant`` are checked when present.
+_REPLAY_FIELDS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "placed": (("qpus", "qpus"),),
+    "completed": (("jct", "number"),) + _TERMINAL_WORK,
+    "stranded": _TERMINAL_WORK,
+    "failed": _TERMINAL_WORK,
+    "qpu_join": (("qpu", "qpu"),),
+    "qpu_drain": (("qpu", "qpu"), ("migrated", "count"), ("requeued", "count")),
+    "qpu_fail": (("qpu", "qpu"), ("interrupted", "count")),
+    "calibration_start": (("qpu", "qpu"),),
+    "calibration_end": (("qpu", "qpu"),),
+}
+_TERMINAL_OPTIONAL = (("wait", "number"), ("tenant", "tenant"))
+_TERMINAL_OUTCOMES = {
+    "completed": JobOutcome.COMPLETED,
+    "rejected": JobOutcome.REJECTED,
+    "expired": JobOutcome.EXPIRED,
+    "stranded": JobOutcome.PREEMPTED,
+    "failed": JobOutcome.FAILED,
+}
+
+
+def _check_replay_fields(record: dict, line_no: int) -> None:
+    """Raise ``ValueError`` naming the line and the field unless every field
+    the replay reads from ``record`` is present and of the right kind."""
+    event = record.get("event")
+    if event not in TELEMETRY_EVENTS:
+        raise ValueError(
+            f"telemetry event line {line_no}: unknown event {event!r}"
+        )
+    fields = (("t", "number"),) + _REPLAY_FIELDS.get(event, ())
+    for field, _ in fields:
+        if field not in record:
+            raise ValueError(
+                f"telemetry event line {line_no}: {event!r} event lacks "
+                f"field {field!r}"
+            )
+    if event in _TERMINAL_OUTCOMES:
+        fields += tuple(item for item in _TERMINAL_OPTIONAL if item[0] in record)
+    for field, kind in fields:
+        check, description = _FIELD_KINDS[kind]
+        if not check(record[field]):
+            raise ValueError(
+                f"telemetry event line {line_no}: field {field!r} of the "
+                f"{event!r} event must be {description}, got {record[field]!r}"
+            )
 
 
 class Telemetry:
@@ -1052,17 +1151,23 @@ class Telemetry:
         emission order, so the rebuilt summary is identical to the one
         the online sink produced (sketch state depends on insertion
         order, which the file preserves).
+
+        Besides the lines :func:`iter_events` refuses, a line whose event
+        lacks a field the replay reads, or holds a value of the wrong type
+        there (a non-finite or non-numeric ``t``, a fleet event without an
+        integer ``qpu``, ...), raises a ``ValueError`` naming the line and
+        the field.  Fields the replay does not read are not checked.
         """
         sink = cls(epsilon=epsilon, queue_depth_capacity=queue_depth_capacity)
-        for record in iter_events(source):
+        for line_no, record in _numbered_events(source):
+            _check_replay_fields(record, line_no)
             sink._apply(record)
         return sink
 
     def _apply(self, record: dict) -> None:
-        event = record.get("event")
-        if event not in TELEMETRY_EVENTS:
-            raise ValueError(f"unknown telemetry event {event!r}")
-        time = record.get("t")
+        """Replay one event whose fields :func:`_check_replay_fields` passed."""
+        event = record["event"]
+        time = record["t"]
         job_id = record.get("job", "")
         if event == "job_arrived":
             self.job_arrived(
@@ -1076,7 +1181,7 @@ class Telemetry:
         elif event == "placed":
             self.job_placed(
                 job_id, time,
-                qpus=record.get("qpus", ()),
+                qpus=record["qpus"],
                 first=record.get("first", True),
                 wait=record.get("wait"),
             )
@@ -1087,31 +1192,22 @@ class Telemetry:
         elif event == "migrated":
             self.job_migrated(job_id, time, count=record.get("n", 1))
         elif event == "qpu_join":
-            self.qpu_joined(record.get("qpu"), time)
+            self.qpu_joined(record["qpu"], time)
         elif event == "qpu_fail":
-            self.qpu_failed(
-                record.get("qpu"), time, interrupted=record.get("interrupted", 0)
-            )
+            self.qpu_failed(record["qpu"], time, interrupted=record["interrupted"])
         elif event == "qpu_drain":
             self.qpu_drained(
-                record.get("qpu"), time,
-                migrated=record.get("migrated", 0),
-                requeued=record.get("requeued", 0),
+                record["qpu"], time,
+                migrated=record["migrated"],
+                requeued=record["requeued"],
             )
         elif event == "calibration_start":
-            self.calibration_started(record.get("qpu"), time, record.get("epr"))
+            self.calibration_started(record["qpu"], time, record.get("epr"))
         elif event == "calibration_end":
-            self.calibration_ended(record.get("qpu"), time)
+            self.calibration_ended(record["qpu"], time)
         else:
-            outcome = {
-                "completed": JobOutcome.COMPLETED,
-                "rejected": JobOutcome.REJECTED,
-                "expired": JobOutcome.EXPIRED,
-                "stranded": JobOutcome.PREEMPTED,
-                "failed": JobOutcome.FAILED,
-            }[event]
             self._terminal(
-                outcome=outcome,
+                outcome=_TERMINAL_OUTCOMES[event],
                 job_id=job_id,
                 time=time,
                 dropped_time=time,

@@ -56,14 +56,11 @@ Record fields:
     Optional finite float.  Recorded submission priority (e.g. a cluster
     scheduling class).  Preserved verbatim by serialization; the replay path
     itself derives scheduling priority from the circuit (Eq. 11), so this
-    field is carried for adapters/round-tripping and priority-aware policies.
+    field is carried for round-tripping and priority-aware policies.
 ``deadline``
     Optional finite float > 0: the job's queueing-deadline *budget* in trace
     time units (relative to arrival).  Carried for round-tripping; replay
     deadlines come from the simulator's admission policy.
-
-Adapters for public cluster-trace job-table formats (Azure-, Google- and
-Alibaba-style columns) live in :mod:`repro.multitenant.trace_adapters`.
 """
 
 from __future__ import annotations
@@ -214,8 +211,8 @@ def _check_record(
 def validate_records(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
     """Yield ``records`` unchanged, enforcing the schema invariants.
 
-    Used to re-validate adapter output or hand-built record streams without
-    a serialization round trip.
+    Used to validate hand-built record streams without a serialization round
+    trip.
     """
     previous: Optional[float] = None
     for index, record in enumerate(records):

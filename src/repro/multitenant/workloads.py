@@ -42,10 +42,6 @@ WORKLOADS: Dict[str, List[str]] = {
 }
 
 
-def workload_names() -> List[str]:
-    return sorted(WORKLOADS)
-
-
 def workload_circuits(workload: str) -> List[str]:
     """The circuit names a workload draws from."""
     if workload not in WORKLOADS:
@@ -293,19 +289,3 @@ def generate_cluster_trace(
         arrival_times=trace_arrivals(timestamps),
         tenant_ids=tenant_ids,
     )
-
-
-def generate_batches(
-    workload: str,
-    num_batches: int,
-    batch_size: int = 20,
-    seed: Optional[int] = None,
-) -> List[List[QuantumCircuit]]:
-    """Sample several independent batches (50 in the paper's evaluation)."""
-    if num_batches <= 0:
-        raise ValueError("num_batches must be positive")
-    base = 0 if seed is None else seed
-    return [
-        generate_batch(workload, batch_size=batch_size, seed=base + index)
-        for index in range(num_batches)
-    ]

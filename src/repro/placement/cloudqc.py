@@ -48,7 +48,6 @@ class CloudQCPlacement(PlacementAlgorithm):
         alpha: float = 1.0,
         beta: float = 1.0,
         max_extra_parts: int = 4,
-        allow_single_qpu: bool = True,
     ) -> None:
         if not imbalance_factors:
             raise ValueError("at least one imbalance factor is required")
@@ -56,7 +55,6 @@ class CloudQCPlacement(PlacementAlgorithm):
         self.alpha = alpha
         self.beta = beta
         self.max_extra_parts = max_extra_parts
-        self.allow_single_qpu = allow_single_qpu
 
     # ------------------------------------------------------------------
     # QPU-set selection (overridden by the BFS variant)
@@ -102,20 +100,19 @@ class CloudQCPlacement(PlacementAlgorithm):
             )
 
         # Fast path: the whole circuit fits on one QPU (Algorithm 1, line 2).
-        if self.allow_single_qpu:
-            host = cloud.fits_anywhere(size)
-            if host is not None:
-                mapping = {qubit: host for qubit in range(size)}
-                metrics = score_mapping(
-                    circuit, mapping, cloud, alpha=self.alpha, beta=self.beta
-                )
-                return Placement(
-                    circuit=circuit,
-                    mapping=mapping,
-                    algorithm=self.name,
-                    score=metrics["score"],
-                    metadata=metrics,
-                )
+        host = cloud.fits_anywhere(size)
+        if host is not None:
+            mapping = {qubit: host for qubit in range(size)}
+            metrics = score_mapping(
+                circuit, mapping, cloud, alpha=self.alpha, beta=self.beta
+            )
+            return Placement(
+                circuit=circuit,
+                mapping=mapping,
+                algorithm=self.name,
+                score=metrics["score"],
+                metadata=metrics,
+            )
 
         candidates = self._candidate_part_counts(size, cloud)
         best: Optional[Placement] = None

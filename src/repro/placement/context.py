@@ -67,9 +67,7 @@ class PlacementContext:
     #: recomputation -- results are unaffected.
     max_entries: int = 4096
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None:
-            self.max_entries = max_entries
+    def __init__(self) -> None:
         # Circuit-side caches, keyed by circuit identity.
         self._circuits: Dict[int, QuantumCircuit] = {}
         self._interactions: Dict[int, InteractionGraph] = {}

@@ -61,7 +61,8 @@ def _bfs_part_order(
     while queue:
         part = queue.popleft()
         order.append(part)
-        for neighbor, _ in sorted(quotient[part].items(), key=lambda item: -item[1]):
+        row = quotient.get(part, {})  # no row: the part crosses no other
+        for neighbor, _ in sorted(row.items(), key=lambda item: -item[1]):
             if neighbor not in visited:
                 visited.add(neighbor)
                 queue.append(neighbor)

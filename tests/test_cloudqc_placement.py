@@ -20,13 +20,6 @@ class TestSingleQpuFastPath:
         assert placement.num_qpus_used == 1
         assert placement.num_remote_operations() == 0
 
-    def test_fast_path_can_be_disabled(self, default_cloud):
-        circuit = ising(12)
-        placement = CloudQCPlacement(allow_single_qpu=False).place(
-            circuit, default_cloud, seed=1
-        )
-        assert placement.num_qpus_used >= 2
-
 
 class TestDistributedPlacement:
     def test_large_circuit_spans_multiple_qpus(self, default_cloud):

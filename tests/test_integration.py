@@ -8,7 +8,6 @@ from repro.circuits.library import get_circuit
 from repro.multitenant import (
     CompletionStats,
     MultiTenantSimulator,
-    completion_cdf,
     generate_batch,
     priority_batch_manager,
 )
@@ -91,11 +90,18 @@ class TestMultiTenantPipeline:
     def test_full_batch_through_framework(self):
         framework = CloudQCFramework.with_defaults(seed=11)
         batch = generate_batch("qugan", batch_size=4, seed=1)
-        results = framework.run_batch(batch, seed=1)
+        results = MultiTenantSimulator(
+            framework.cloud,
+            placement_algorithm=framework.placement_algorithm,
+            network_scheduler=framework.network_scheduler,
+            batch_manager=priority_batch_manager(),
+            latency=framework.latency,
+        ).run_batch(batch, seed=1)
         assert len(results) == 4
         stats = CompletionStats.from_times([r.job_completion_time for r in results])
         assert stats.maximum >= stats.mean >= 0
-        cdf = completion_cdf([r.job_completion_time for r in results])
+        times = sorted(r.job_completion_time for r in results)
+        cdf = [(time, (index + 1) / len(times)) for index, time in enumerate(times)]
         assert cdf[-1][1] == pytest.approx(1.0)
 
     def test_placement_quality_propagates_to_multitenant_jct(self):

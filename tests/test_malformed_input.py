@@ -6,7 +6,8 @@ record naming a circuit the library cannot build.  ``TraceReader`` and
 ``run_stream`` must raise :class:`TraceFormatError` with the record index and
 line, ``read_snapshot`` a :class:`CheckpointError` naming the snapshot, and
 ``iter_events`` / ``Telemetry.from_events`` a ``ValueError`` naming the event
-line.  The torn-final-line tolerance of ``iter_events`` is pinned in
+line; ``Telemetry.from_events`` also names a missing or mistyped field it
+reads.  The torn-final-line tolerance of ``iter_events`` is pinned in
 ``tests/test_telemetry_recovery.py``.
 """
 
@@ -153,3 +154,43 @@ class TestEventStream:
     def test_non_object_event_line_from_lines(self):
         with pytest.raises(ValueError, match="line 1 is not a JSON object"):
             list(iter_events(["42\n", EVENT]))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ({"event": "completed"}, "line 2: 'completed' event lacks field 't'"),
+            (
+                {"event": "completed", "t": 1.0, "job": "job-0"},
+                "line 2: 'completed' event lacks field 'jct'",
+            ),
+            (
+                {"event": "admitted", "t": "x", "job": "job-0"},
+                "line 2: field 't' of the 'admitted' event must be a finite number",
+            ),
+            (
+                {"event": "expired", "t": None, "job": "job-0"},
+                "line 2: field 't' of the 'expired' event must be a finite number",
+            ),
+            ({"event": "qpu_join", "t": 1.0}, "line 2: 'qpu_join' event lacks field 'qpu'"),
+            (
+                {"event": "placed", "t": 1.0, "job": "job-0", "qpus": None},
+                "line 2: field 'qpus' of the 'placed' event must be a list",
+            ),
+            (
+                {"event": "rejected", "t": 1.0, "job": "job-0", "tenant": [7]},
+                "line 2: field 'tenant' of the 'rejected' event must be a string",
+            ),
+        ],
+        ids=[
+            "completed-without-t",
+            "completed-without-jct",
+            "admitted-string-t",
+            "expired-null-t",
+            "qpu_join-without-qpu",
+            "placed-null-qpus",
+            "rejected-list-tenant",
+        ],
+    )
+    def test_event_field_the_replay_reads(self, line, message):
+        with pytest.raises(ValueError, match=message):
+            Telemetry.from_events([EVENT, json.dumps(line)])

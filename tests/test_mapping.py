@@ -72,6 +72,14 @@ class TestMapPartitions:
         mapping = map_partitions_to_qpus(sizes, graph, small_cloud, small_cloud.qpu_ids)
         assert set(mapping) == {0, 1, 2}
 
+    def test_part_without_a_quotient_row_crosses_no_other(self):
+        # No part crosses another, so the largest part (1) is the centre,
+        # and the adjacency has no row for it.
+        cloud = QuantumCloud(CloudTopology.line(3), computing_qubits_per_qpu=10)
+        mapping = map_partitions_to_qpus({0: 2, 1: 5}, {0: {}}, cloud, [0, 1])
+        assert set(mapping) == {0, 1}
+        assert mapping[0] != mapping[1]
+
 
 class TestExpandParts:
     def test_composition(self):

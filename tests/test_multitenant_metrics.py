@@ -12,19 +12,13 @@ from repro.multitenant import (
     QueueingDelayStats,
     StreamSummary,
     TenantJobResult,
-    cdf_at_percentile,
-    completion_cdf,
     drop_aware_jct_percentile,
-    fraction_completed_by,
-    makespan,
     max_queue_depth,
     outcome_counts,
     queue_depth_timeseries,
     queueing_delays,
     rejection_rate,
     relative_to_baseline,
-    total_preemptions,
-    total_wasted_time,
 )
 
 
@@ -51,41 +45,6 @@ class TestCompletionStats:
     def test_empty_numpy_array_input(self):
         stats = CompletionStats.from_times(np.array([]))
         assert stats.count == 0
-
-
-class TestCdf:
-    def test_cdf_points_monotonic(self):
-        points = completion_cdf([3.0, 1.0, 2.0])
-        assert points == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)), (3.0, 1.0)]
-
-    def test_cdf_empty(self):
-        assert completion_cdf([]) == []
-
-    def test_fraction_completed_by(self):
-        times = [1.0, 2.0, 3.0, 4.0]
-        assert fraction_completed_by(times, 2.5) == pytest.approx(0.5)
-        assert fraction_completed_by(times, 0.5) == 0.0
-        assert fraction_completed_by([], 1.0) == 0.0
-
-    def test_cdf_at_percentile(self):
-        times = list(range(1, 101))
-        assert cdf_at_percentile(times, 90) == pytest.approx(90.1, abs=0.5)
-        assert cdf_at_percentile([], 90) == 0.0
-
-    def test_makespan(self):
-        assert makespan([5.0, 9.0, 2.0]) == 9.0
-        assert makespan([]) == 0.0
-
-    def test_numpy_array_inputs(self):
-        # Regression: every Sequence[float] metric must accept numpy arrays.
-        times = np.array([3.0, 1.0, 2.0])
-        assert completion_cdf(times)[-1] == (3.0, 1.0)
-        assert fraction_completed_by(times, 2.5) == pytest.approx(2 / 3)
-        assert cdf_at_percentile(times, 50) == pytest.approx(2.0)
-        assert makespan(times) == 3.0
-        assert completion_cdf(np.array([])) == []
-        assert fraction_completed_by(np.array([]), 1.0) == 0.0
-        assert makespan(np.array([])) == 0.0
 
 
 class TestRelative:
@@ -248,15 +207,6 @@ def preempted_result(job_id, preemptions=1, migrations=0, wasted=0.0,
 
 
 class TestPreemptionMetrics:
-    def test_totals(self):
-        results = [
-            preempted_result("job-0", preemptions=2, wasted=7.5),
-            preempted_result("job-1", preemptions=0, migrations=1),
-            result("job-2"),
-        ]
-        assert total_preemptions(results) == 2
-        assert total_wasted_time(results) == pytest.approx(7.5)
-
     def test_preemption_stats(self):
         results = [
             preempted_result("job-0", preemptions=2, wasted=7.5),

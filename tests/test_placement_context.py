@@ -161,7 +161,8 @@ class TestPlacementContext:
         )
 
     def test_eviction_bound(self):
-        context = PlacementContext(max_entries=8)
+        context = PlacementContext()
+        context.max_entries = 8
         circuit = get_circuit("qft_n16")
         imbalances = [0.01 * (index + 1) for index in range(40)]
         for imbalance in imbalances:

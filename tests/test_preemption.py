@@ -1,4 +1,4 @@
-"""Tests for preemption & migration: policies, work-loss model, simulator."""
+"""Tests for preemption & migration: policies, work ledger, simulator."""
 
 import itertools
 import math
@@ -24,7 +24,6 @@ from repro.multitenant import (
     fifo_batch_manager,
     poisson_arrivals,
     priority_batch_manager,
-    total_preemptions,
 )
 from repro.placement import CloudQCPlacement, MappingError
 from repro.scheduling import (
@@ -232,24 +231,15 @@ class TestDeadlineRescuePolicy:
 class TestJobProgressLedger:
     def test_resume_banks_progress(self):
         progress = JobProgress()
-        progress.record_stop(start_time=10.0, completed_ops=4, now=16.0, resume=True)
+        progress.record_stop(start_time=10.0, completed_ops=4, now=16.0)
         assert progress.completed_ops == 4
         assert progress.elapsed_local == pytest.approx(6.0)
-        assert progress.wasted_time == 0.0
         assert progress.first_placement_time == 10.0
-
-    def test_restart_discards_and_accounts_waste(self):
-        progress = JobProgress()
-        progress.record_stop(start_time=10.0, completed_ops=4, now=16.0, resume=False)
-        assert progress.completed_ops == 0
-        assert progress.elapsed_local == 0.0
-        assert progress.wasted_time == pytest.approx(6.0)
-        assert progress.wasted_ops == 4
 
     def test_resume_accumulates_across_segments(self):
         progress = JobProgress()
-        progress.record_stop(start_time=0.0, completed_ops=2, now=5.0, resume=True)
-        progress.record_stop(start_time=20.0, completed_ops=7, now=24.0, resume=True)
+        progress.record_stop(start_time=0.0, completed_ops=2, now=5.0)
+        progress.record_stop(start_time=20.0, completed_ops=7, now=24.0)
         assert progress.completed_ops == 7  # absolute, not incremental
         assert progress.elapsed_local == pytest.approx(9.0)
         assert progress.first_placement_time == 0.0
@@ -329,7 +319,6 @@ class TestSimulatorIntegration:
             contended_cloud(),
             admission_policy=QueueingDeadline(max_delay=10.0),
             preemption_policy=DeadlineRescue(horizon=5.0),
-            work_loss="resume",
         )
         results = simulator.run_stream([ghz(24), ghz(24)], [0.0, 1.0], seed=1)
         first, second = sorted(results, key=lambda r: r.arrival_time)
@@ -341,23 +330,6 @@ class TestSimulatorIntegration:
         assert first.wasted_time == 0.0
         # Its queueing delay still measures the wait for the first placement.
         assert first.placement_time == 0.0
-
-    def test_restart_redoes_and_accounts_wasted_work(self):
-        simulator = make_simulator(
-            contended_cloud(),
-            admission_policy=QueueingDeadline(max_delay=10.0),
-            preemption_policy=DeadlineRescue(horizon=5.0),
-            work_loss="restart",
-        )
-        results = simulator.run_stream([ghz(24), ghz(24)], [0.0, 1.0], seed=1)
-        first, _ = sorted(results, key=lambda r: r.arrival_time)
-        # Restart: the 6 units executed before eviction are redone in full.
-        assert first.completion_time == pytest.approx(29.1 + 23.1)
-        assert first.wasted_time == pytest.approx(6.0)
-
-    def test_invalid_work_loss_rejected(self):
-        with pytest.raises(ValueError):
-            make_simulator(contended_cloud(), work_loss="forget")
 
     def test_stranded_preempted_outcome(self):
         # A job evicted by the policy whose re-placement then keeps failing
@@ -560,7 +532,7 @@ class TestNeverPreemptBitIdentity:
             ("ising_n34", 40.0, pytest.approx(66.0)),
             ("ghz_n16", 80.0, pytest.approx(95.1)),
         ]
-        assert total_preemptions(results) == 0
+        assert sum(r.num_preemptions for r in results) == 0
 
     def test_golden_batch_contended_with_explicit_never_preempt(self):
         # Pinned batch numbers from test_cluster_sim.TestGoldenBatchResults.

@@ -6,16 +6,14 @@ from repro.multitenant import (
     TRACE_CIRCUIT_POOL,
     WORKLOADS,
     generate_batch,
-    generate_batches,
     generate_cluster_trace,
     workload_circuits,
-    workload_names,
 )
 
 
 class TestWorkloadDefinitions:
     def test_four_workloads_defined(self):
-        assert set(workload_names()) == {"mixed", "qft", "qugan", "arithmetic"}
+        assert set(sorted(WORKLOADS)) == {"mixed", "qft", "qugan", "arithmetic"}
 
     def test_mixed_contents_match_paper(self):
         assert set(workload_circuits("mixed")) == {
@@ -64,15 +62,6 @@ class TestBatchGeneration:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             generate_batch("qft", batch_size=0)
-
-    def test_generate_batches_count(self):
-        batches = generate_batches("qugan", num_batches=3, batch_size=4, seed=5)
-        assert len(batches) == 3
-        assert all(len(batch) == 4 for batch in batches)
-
-    def test_generate_batches_invalid_count(self):
-        with pytest.raises(ValueError):
-            generate_batches("qugan", num_batches=0)
 
     def test_circuits_are_cached_instances(self):
         a = generate_batch("qugan", batch_size=3, seed=1)
