@@ -164,7 +164,7 @@ def test_deadline_rescue_cuts_expired_jobs_and_tail_jct(benchmark):
 def test_bounded_memory_replay_matches_retained_summary():
     """A ``keep_results=False`` rescue replay (results discarded as they
     finish) reports the same counters as the retained run, and the online
-    queue-depth series sees the requeued victims the result reconstruction
+    maximum queue depth sees the requeued victims the result reconstruction
     misses."""
     cycles = 40  # preemption-heavy but cheap enough for tier-1 collection
     sink = Telemetry()

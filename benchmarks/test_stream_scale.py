@@ -27,6 +27,8 @@ of the example script, kept here for reference.
 
 from __future__ import annotations
 
+import io
+import json
 import math
 
 import pytest
@@ -58,6 +60,25 @@ TRACE_SEED = 3
 SIM_SEED = 1
 #: Reduced scale used by the CI smoke run of examples/stream_admission.py.
 SMOKE_NUM_JOBS = 40
+
+
+def netted_depths(events):
+    """The (time, depth) steps an event stream records: the last depth of
+    each instant, where it differs from the previous instant's."""
+    instants = []
+    for record in map(json.loads, events.splitlines()):
+        if "depth" not in record:
+            continue
+        if instants and instants[-1][0] == record["t"]:
+            instants[-1] = (record["t"], record["depth"])
+        else:
+            instants.append((record["t"], record["depth"]))
+    steps, depth = [], 0
+    for time, after in instants:
+        if after != depth:
+            steps.append((time, after))
+            depth = after
+    return steps
 
 QUEUE_BOUND = 25
 TOKEN_RATE = 0.22
@@ -167,13 +188,13 @@ def test_trace_replay_under_all_admission_policies(benchmark, trace):
 def test_telemetry_sink_matches_exact_summary_at_scale(trace):
     """One 5000-job replay, retained results AND an attached sink: the
     sketch-backed summary agrees with the exact one (counters exactly,
-    percentiles within the GK rank bound) and the online queue-depth series
-    matches the reconstruction (no preemption here, so both are exact)."""
+    percentiles within the GK rank bound) and the depths the event stream
+    records match the reconstruction (no preemption here, so both are
+    exact)."""
     import numpy as np
 
-    # 5000 jobs produce more netted depth changes than the default 4096-point
-    # capacity; raise it so the series comparison below is exact-vs-exact.
-    sink = Telemetry(queue_depth_capacity=16384)
+    events = io.StringIO()
+    sink = Telemetry(events=events)
     simulator = make_simulator(QueueingDeadline(DEADLINE))
     results = simulator.run_stream(
         trace.circuits, trace.arrival_times, seed=SIM_SEED, telemetry=sink
@@ -181,15 +202,13 @@ def test_telemetry_sink_matches_exact_summary_at_scale(trace):
     exact = StreamSummary.from_results(results)
     sketched = StreamSummary.from_telemetry(sink)
 
-    assert sink.queue_depth_exact
-
     assert sketched.total == exact.total == NUM_JOBS
     assert sketched.completed == exact.completed
     assert sketched.expired == exact.expired
     assert sketched.rejection_rate == pytest.approx(exact.rejection_rate)
     assert sketched.queueing.mean == pytest.approx(exact.queueing.mean)
     assert sketched.max_queue_depth == exact.max_queue_depth
-    assert sink.queue_depth_series() == queue_depth_timeseries(results)
+    assert netted_depths(events.getvalue()) == queue_depth_timeseries(results)
 
     # Percentile estimates stay within the documented (2 eps n + 1)/n
     # rank-error bound of the exact distribution.

@@ -115,7 +115,8 @@ def main(cycles: int, seed: int, export: str | None) -> None:
     print(
         "\n*drop-aware p99 JCT: expired jobs never complete, so their JCT "
         "counts as inf;\n exp = expired in the queue, strand = ended the run "
-        "evicted, wasted = redone work (CX-time units).\n Rows aggregated "
+        "evicted, wasted = banked work of jobs that ended evicted or failed "
+        "(CX-time units).\n Rows aggregated "
         "online by the Telemetry sink (keep_results=False)."
     )
     if export:

@@ -519,7 +519,6 @@ def run_events_report(args) -> tuple[dict, bool]:
         "summary": asdict(summary),
         "outcome_counts": sink.outcome_counts,
         "max_queue_depth": sink.max_queue_depth,
-        "queue_depth_exact": sink.queue_depth_exact,
         "preemption_events": sink.preemption_events,
         "migration_events": sink.migration_events,
         "tenants": len(sink.tenant_counts),

@@ -94,18 +94,6 @@ class InteractionGraph:
             for node, nbrs in self.graph.adjacency()
         }
 
-    def cut_weight(self, assignment: Dict[int, int]) -> int:
-        """Total weight of edges whose endpoints land in different parts.
-
-        ``assignment`` maps every qubit to a part label; missing qubits are
-        treated as isolated (they never contribute to the cut).
-        """
-        cut = 0
-        for a, b, weight in self.edges():
-            if a in assignment and b in assignment and assignment[a] != assignment[b]:
-                cut += weight
-        return cut
-
     def graph_center(self) -> int:
         """Vertex minimising the longest hop distance to every other vertex.
 
@@ -127,22 +115,6 @@ class InteractionGraph:
         instance = InteractionGraph(self.num_qubits)
         instance.graph = self.graph.subgraph(chosen).copy()
         return instance
-
-    def quotient_graph(self, assignment: Dict[int, int]) -> nx.Graph:
-        """Collapse qubits into their parts; edge weights aggregate cut weights.
-
-        The result is the "remote partition interaction graph" G_p used when
-        mapping partitions onto QPUs: nodes are part labels and an edge weight
-        counts the two-qubit gates crossing that pair of parts (the networkx
-        form of :func:`quotient_adjacency`).
-        """
-        adjacency = quotient_adjacency(self.edges(), assignment)
-        quotient = nx.Graph()
-        quotient.add_nodes_from(adjacency)
-        for part, row in adjacency.items():
-            for other, weight in row.items():
-                quotient.add_edge(part, other, weight=weight)
-        return quotient
 
     def to_networkx(self) -> nx.Graph:
         return self.graph.copy()

@@ -39,11 +39,10 @@ class CloudTopology:
         if not nx.is_connected(graph):
             raise TopologyError("topology must be connected")
         self.graph = graph
-        # All-pairs hop distances, per-pair shortest paths and their links
-        # (with each link's live attribute dict), filled on first use: the
-        # wiring never changes after construction.
+        # All-pairs hop distances and each pair's shortest-path links (with
+        # each link's live attribute dict), filled on first use: the wiring
+        # never changes after construction.
         self._distances: Optional[Dict[int, Dict[int, int]]] = None
-        self._paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._path_links: Dict[Tuple[int, int], Tuple[Tuple[int, int, dict], ...]] = {}
 
     # ------------------------------------------------------------------
@@ -164,14 +163,7 @@ class CloudTopology:
             raise TopologyError(f"no path between QPU {a} and QPU {b}") from exc
 
     def shortest_path(self, a: int, b: int) -> List[int]:
-        return list(self._path(a, b))
-
-    def _path(self, a: int, b: int) -> Tuple[int, ...]:
-        """``nx.shortest_path(a, b)``, computed once per ordered QPU pair."""
-        path = self._paths.get((a, b))
-        if path is None:
-            path = self._paths[(a, b)] = tuple(nx.shortest_path(self.graph, a, b))
-        return path
+        return list(nx.shortest_path(self.graph, a, b))
 
     def distance_matrix(self) -> np.ndarray:
         """Dense ``C_ij`` matrix indexed by sorted QPU id order."""
@@ -230,7 +222,7 @@ class CloudTopology:
             return 1.0
         links = self._path_links.get((a, b))
         if links is None:
-            path = self._path(a, b)
+            path = nx.shortest_path(self.graph, a, b)
             adjacency = self.graph.adj
             links = self._path_links[(a, b)] = tuple(
                 (u, v, adjacency[u][v]) for u, v in zip(path, path[1:])

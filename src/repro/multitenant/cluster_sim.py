@@ -305,7 +305,7 @@ class _EventDrivenBatch:
         "loop": "captured as the 'engine' key via EventLoop.snapshot_state",
         "faults": "fleet-event schedule is regenerated from the seeded spec on restore; already-applied events are reflected in 'cloud'",
         "incremental": "derived flag recomputed from the placement strategy in __init__",
-        "placement_context": "memo of interaction graphs (networkx and CSR forms), partitions, quotients, detected communities, community/BFS QPU sets and topology centers, each a pure function of its key; a cold context after restore recomputes bit-identical placements",
+        "placement_context": "memo of interaction graphs (CSR form), partitions, quotients, detected communities, community/BFS QPU sets and topology centers, each a pure function of its key; a cold context after restore recomputes bit-identical placements",
         "min_pending_qubits": "pruning hint derived from the pending queue; _restore_state recomputes it from the restored 'pending' key",
         "preemption_enabled": "derived from the preemption policy type in __init__",
         "expiry_handles": "event-loop handles; _restore_state re-binds them from the restored 'engine' events labelled expire:<job id>",
@@ -501,7 +501,7 @@ class _EventDrivenBatch:
                 if check is not None:
                     self.loop.schedule_at(
                         max(check, now),
-                        self._rescue_check_callback(job),
+                        self._rescue_check_callback(job.job_id),
                         label=f"preempt-check:{job.job_id}",
                     )
         self.resources_changed = True
@@ -613,9 +613,12 @@ class _EventDrivenBatch:
 
         return on_expiry
 
-    def _rescue_check_callback(self, job: Job):
+    def _rescue_check_callback(self, job_id: str):
+        # Bound to the id, not the Job: the job may finish before its check
+        # fires, and a keep_results=False run then forgets it.
         def on_check(loop: EventLoop) -> None:
-            if job.status is JobStatus.PENDING:
+            job = self.controller.jobs.get(job_id)
+            if job is not None and job.status is JobStatus.PENDING:
                 # An extra decision point; ticks are idempotent, so running
                 # one here alongside an outstanding tick event is harmless.
                 self._tick(loop)
@@ -1519,9 +1522,7 @@ class _EventDrivenBatch:
                 self.controller.jobs[label[len("expire:"):]]
             )
         if label.startswith("preempt-check:"):
-            return self._rescue_check_callback(
-                self.controller.jobs[label[len("preempt-check:"):]]
-            )
+            return self._rescue_check_callback(label[len("preempt-check:"):])
         if label.startswith("calibration-end:"):
             return self._calibration_end_callback(int(label.rsplit(":", 1)[1]))
         if label.startswith("fleet:"):
@@ -2023,7 +2024,7 @@ class MultiTenantSimulator:
         For bounded-memory replays, pass a
         :class:`~repro.multitenant.Telemetry` sink (``telemetry=``) and
         ``keep_results=False``: the run then emits streaming summaries --
-        sketch percentiles, counters, an online queue-depth series and an
+        sketch percentiles, counters, the maximum queue depth and an
         optional jsonl event stream -- without retaining per-job
         ``TenantJobResult`` lists (see ``docs/architecture.md``,
         "Telemetry & observability").
@@ -2130,7 +2131,7 @@ class MultiTenantSimulator:
         with preemption and fault injection active).
 
         ``telemetry`` must be a *fresh* sink iff the original run had one
-        (constructed with the same ``epsilon``/``queue_depth_capacity`` and
+        (constructed with the same ``epsilon`` and
         **without** ``events=`` -- the snapshot rewires the event stream to
         the original path, truncating any torn tail).  ``checkpoint``
         defaults to inheriting the snapshotted cadence, so a resumed run

@@ -167,9 +167,9 @@ def queue_depth_timeseries(results: Iterable) -> List[Tuple[float, int]]:
     Limitation: per-job results carry only the *first* queue stay, so the
     requeue intervals of preempted jobs are not visible here; under an
     active preemption policy the series is exact for the arrival queue but
-    undercounts re-queued victims.  The online tracker in
-    :class:`~repro.multitenant.Telemetry` sees every requeue transition,
-    so its :meth:`~repro.multitenant.Telemetry.queue_depth_series` is
+    undercounts re-queued victims.  A :class:`~repro.multitenant.Telemetry`
+    sink sees every requeue transition: the ``depth`` field of its event
+    stream, netted per instant as here, and its ``max_queue_depth`` are
     exact under preemption too (regression-pinned in
     ``tests/test_telemetry.py``).
     """

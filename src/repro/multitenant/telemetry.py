@@ -13,25 +13,24 @@ holding
   see the class docstring for why GK over the P\\ :sup:`2` heuristic);
 * exact per-outcome / per-tenant / per-QPU counters plus exact running
   mean/min/max accumulators;
-* a fixed-capacity queue-depth time series maintained online at every
-  admission / placement / requeue / drop transition (exact while the
-  number of depth changes fits the capacity, reservoir-sampled beyond it;
-  current and maximum depth stay exact regardless); and
+* the current and the maximum queue depth, maintained online at every
+  admission / placement / requeue / drop transition (the event line of
+  each of those transitions carries the exact depth after it); and
 * an optional structured jsonl event stream with a documented schema, from
   which a sink -- and therefore a full :class:`~repro.multitenant.metrics.
   StreamSummary` -- can be rebuilt offline without re-simulating
   (:meth:`Telemetry.from_events`; ``scripts/bench_report.py --events``).
 
-Because the online depth tracker sees *every* requeue transition, the
-telemetry-backed queue-depth series is exact under active preemption,
-where the result-reconstructed ``queue_depth_timeseries`` undercounts
-re-queued victims (it only knows each job's first queue stay).
+Because the sink sees *every* requeue transition, its maximum depth and
+the depths in its event stream are exact under active preemption, where
+the result-reconstructed ``queue_depth_timeseries`` undercounts re-queued
+victims (it only knows each job's first queue stay).
 
 The sink is strictly observational: it consumes no simulator RNG and
 never influences control flow, so attaching one to a seeded run leaves
 the per-job results bit-identical (pinned by A/B tests).  Memory is
-O(sketch + capacity + #tenants + #QPUs), independent of the number of
-jobs and events.
+O(sketch + #tenants + #QPUs), independent of the number of jobs and
+events.
 
 Event schema (one JSON object per line; field order not significant)::
 
@@ -79,7 +78,6 @@ import bisect
 import json
 import math
 import os
-import random
 import warnings
 from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -271,122 +269,6 @@ class QuantileSketch:
         return sketch
 
 
-class _DepthSeries:
-    """Fixed-capacity (time, depth) step series maintained online.
-
-    Consecutive observations at the same timestamp are netted (only the
-    final depth at each instant registers, matching the semantics of
-    ``metrics.queue_depth_timeseries``) and zero-net instants are dropped.
-    While at most ``capacity`` netted points exist, the series is exact
-    and complete; beyond that, points are reservoir-sampled (Algorithm R,
-    own deterministic RNG -- the simulator's RNG is never touched).  The
-    maximum depth is tracked exactly over *all* netted points regardless
-    of sampling.
-    """
-
-    __slots__ = (
-        "capacity",
-        "seen",
-        "max_depth",
-        "_rng",
-        "_points",
-        "_pending",
-        "_last_recorded_depth",
-    )
-
-    _CHECKPOINT_EXCLUDE = {
-        "_last_recorded_depth": "captured as the 'last_depth' key; kept under its historical name for snapshot compatibility",
-    }
-
-    def __init__(self, capacity: int, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError("queue-depth capacity must be at least 1")
-        self.capacity = capacity
-        self.seen = 0  # netted points finalized so far
-        self.max_depth = 0
-        self._rng = random.Random(seed)
-        self._points: List[Tuple[float, int]] = []
-        self._pending: Optional[Tuple[float, int]] = None
-        self._last_recorded_depth = 0
-
-    def observe(self, time: float, depth: int) -> None:
-        if self._pending is not None:
-            if self._pending[0] == time:
-                self._pending = (time, depth)
-                return
-            self._finalize()
-        self._pending = (time, depth)
-
-    def _finalize(self) -> None:
-        time, depth = self._pending  # type: ignore[misc]
-        self._pending = None
-        if depth == self._last_recorded_depth:
-            return  # the instant netted out
-        self._last_recorded_depth = depth
-        if depth > self.max_depth:
-            self.max_depth = depth
-        self.seen += 1
-        if len(self._points) < self.capacity:
-            self._points.append((time, depth))
-        else:
-            slot = self._rng.randrange(self.seen)
-            if slot < self.capacity:
-                self._points[slot] = (time, depth)
-
-    @property
-    def exact(self) -> bool:
-        """Whether the series still holds every netted depth change."""
-        pending_extra = (
-            self._pending is not None
-            and self._pending[1] != self._last_recorded_depth
-        )
-        return self.seen + (1 if pending_extra else 0) <= self.capacity
-
-    def points(self) -> List[Tuple[float, int]]:
-        series = sorted(self._points)
-        if (
-            self._pending is not None
-            and self._pending[1] != self._last_recorded_depth
-        ):
-            series.append(self._pending)
-        return series
-
-    def current_max(self) -> int:
-        best = self.max_depth
-        if self._pending is not None and self._pending[1] > best:
-            best = self._pending[1]
-        return best
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        version, internal, gauss = self._rng.getstate()
-        return {
-            "capacity": self.capacity,
-            "seen": self.seen,
-            "max_depth": self.max_depth,
-            "rng": [version, list(internal), gauss],
-            "points": [[t, d] for t, d in self._points],
-            "pending": None if self._pending is None else list(self._pending),
-            "last_depth": self._last_recorded_depth,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "_DepthSeries":
-        series = cls(int(state["capacity"]))
-        version, internal, gauss = state["rng"]
-        series._rng.setstate(
-            (int(version), tuple(int(word) for word in internal), gauss)
-        )
-        series.seen = int(state["seen"])
-        series.max_depth = int(state["max_depth"])
-        series._points = [(float(t), int(d)) for t, d in state["points"]]
-        pending = state["pending"]
-        series._pending = (
-            None if pending is None else (float(pending[0]), int(pending[1]))
-        )
-        series._last_recorded_depth = int(state["last_depth"])
-        return series
-
-
 def iter_events(
     source: Union[str, os.PathLike, IO[str], Iterable[str]]
 ) -> Iterable[dict]:
@@ -561,10 +443,6 @@ class Telemetry:
         Rank-error parameter of the JCT and queueing-delay sketches; an
         estimated percentile's rank is within ``2 * epsilon * n + 1`` of
         exact (see :class:`QuantileSketch`).
-    queue_depth_capacity:
-        Maximum retained queue-depth points; the series is exact up to
-        this many depth changes and reservoir-sampled beyond (max depth
-        stays exact either way).
     events:
         ``None`` (no event stream), a path, or a writable file-like
         object; one JSON object per line in the schema documented in the
@@ -581,7 +459,6 @@ class Telemetry:
     def __init__(
         self,
         epsilon: float = 0.005,
-        queue_depth_capacity: int = 4096,
         events: Union[None, str, os.PathLike, IO[str]] = None,
     ) -> None:
         self.jct = QuantileSketch(epsilon)
@@ -609,7 +486,11 @@ class Telemetry:
         self.qpu_downtime: Dict[int, float] = {}
         self._offline_since: Dict[int, float] = {}
         self.depth = 0
-        self._series = _DepthSeries(queue_depth_capacity)
+        # The largest depth any finished instant ended at, and the latest
+        # (time, depth), still open: a later transition at the same time
+        # replaces it, so depths at one instant net out.
+        self._max_depth = 0
+        self._pending_depth: Optional[Tuple[float, int]] = None
         self._stream: Optional[IO[str]] = None
         self._owns_stream = False
         #: Bytes of complete, flushed events written to the stream so far.
@@ -683,7 +564,6 @@ class Telemetry:
             events = {"path": self._events_path, "bytes": self.events_bytes}
         return {
             "epsilon": self.jct.epsilon,
-            "queue_depth_capacity": self._series.capacity,
             "jct": self.jct.checkpoint_state(),
             "queueing_delay": self.queueing_delay.checkpoint_state(),
             "outcome_counts": dict(self.outcome_counts),
@@ -714,7 +594,10 @@ class Telemetry:
                 [qpu, since] for qpu, since in self._offline_since.items()
             ],
             "depth": self.depth,
-            "series": self._series.checkpoint_state(),
+            "max_depth": self._max_depth,
+            "pending_depth": (
+                None if self._pending_depth is None else list(self._pending_depth)
+            ),
             "events": events,
         }
 
@@ -725,7 +608,7 @@ class Telemetry:
         a path to the constructor truncates the file; the snapshot's stream
         is reattached here instead, truncated to the last durable event so
         a torn tail line from the crash disappears) and with the same
-        ``epsilon`` / ``queue_depth_capacity`` as the original.
+        ``epsilon`` as the original.
         """
         if self.arrivals or self.total or self._stream is not None:
             raise CheckpointError(
@@ -736,12 +619,6 @@ class Telemetry:
             raise CheckpointError(
                 f"telemetry epsilon mismatch: snapshot has "
                 f"{state['epsilon']!r}, this sink has {self.jct.epsilon!r}"
-            )
-        if self._series.capacity != int(state["queue_depth_capacity"]):
-            raise CheckpointError(
-                f"telemetry queue_depth_capacity mismatch: snapshot has "
-                f"{state['queue_depth_capacity']!r}, this sink has "
-                f"{self._series.capacity!r}"
             )
         self.jct = QuantileSketch.from_state(state["jct"])
         self.queueing_delay = QuantileSketch.from_state(state["queueing_delay"])
@@ -779,7 +656,11 @@ class Telemetry:
             int(qpu): float(since) for qpu, since in state["offline_since"]
         }
         self.depth = int(state["depth"])
-        self._series = _DepthSeries.from_state(state["series"])
+        self._max_depth = int(state["max_depth"])
+        pending = state["pending_depth"]
+        self._pending_depth = (
+            None if pending is None else (float(pending[0]), int(pending[1]))
+        )
         events = state["events"]
         if events is not None:
             path = events["path"]
@@ -826,7 +707,7 @@ class Telemetry:
     def job_admitted(self, job_id: str, time: float) -> None:
         self.admissions += 1
         self.depth += 1
-        self._series.observe(time, self.depth)
+        self._observe_depth(time)
         self._emit("admitted", time, job_id, depth=self.depth)
 
     def job_placed(
@@ -839,7 +720,7 @@ class Telemetry:
     ) -> None:
         self.placements += 1
         self.depth -= 1
-        self._series.observe(time, self.depth)
+        self._observe_depth(time)
         for qpu in qpus:
             self.qpu_placements[qpu] = self.qpu_placements.get(qpu, 0) + 1
         self._emit(
@@ -847,12 +728,24 @@ class Telemetry:
             depth=self.depth, qpus=sorted(qpus), first=first, wait=wait,
         )
 
+    def _observe_depth(self, time: float) -> None:
+        """Fold the depth after a transition at ``time`` into the maximum.
+
+        Only the last depth of each instant counts, as in
+        ``metrics.queue_depth_timeseries``: a job placed at its own arrival
+        instant never raises the maximum.
+        """
+        pending = self._pending_depth
+        if pending is not None and pending[0] != time:
+            self._max_depth = max(self._max_depth, pending[1])
+        self._pending_depth = (time, self.depth)
+
     def job_preempted(self, job_id: str, time: float, count: int = 1) -> None:
         self._emit("preempted", time, job_id, n=count)
 
     def job_requeued(self, job_id: str, time: float) -> None:
         self.depth += 1
-        self._series.observe(time, self.depth)
+        self._observe_depth(time)
         self._emit("requeued", time, job_id, depth=self.depth)
 
     def job_migrated(self, job_id: str, time: float, count: int = 1) -> None:
@@ -1007,7 +900,7 @@ class Telemetry:
         if outcome is JobOutcome.EXPIRED:
             self.depth -= 1
             when = dropped_time if time is None else time
-            self._series.observe(when, self.depth)
+            self._observe_depth(when)
             self._emit(
                 "expired", when, job_id,
                 depth=self.depth, wait=wait, tenant=tenant,
@@ -1028,7 +921,7 @@ class Telemetry:
         self.stranded += 1
         self.depth -= 1
         when = dropped_time if time is None else time
-        self._series.observe(when, self.depth)
+        self._observe_depth(when)
         self._emit(
             "stranded", when, job_id,
             depth=self.depth, wasted_time=wasted_time, wasted_ops=wasted_ops,
@@ -1058,21 +951,11 @@ class Telemetry:
 
     @property
     def max_queue_depth(self) -> int:
-        return self._series.current_max()
-
-    @property
-    def queue_depth_exact(self) -> bool:
-        """Whether the depth series still holds every netted change."""
-        return self._series.exact
-
-    def queue_depth_series(self) -> List[Tuple[float, int]]:
-        """The (time, depth) step series, time-sorted.
-
-        Exact and complete while the number of netted depth changes fits
-        ``queue_depth_capacity`` (check :attr:`queue_depth_exact`);
-        a uniform reservoir sample of the changes beyond that.
-        """
-        return self._series.points()
+        """The largest depth an instant ended at, the open instant included."""
+        pending = self._pending_depth
+        if pending is not None and pending[1] > self._max_depth:
+            return pending[1]
+        return self._max_depth
 
     def drop_aware_jct_percentile(self, p: float) -> float:
         """Sketch-backed analogue of :func:`metrics.drop_aware_jct_percentile`.
@@ -1143,7 +1026,6 @@ class Telemetry:
         cls,
         source: Union[str, os.PathLike, IO[str], Iterable[str]],
         epsilon: float = 0.005,
-        queue_depth_capacity: int = 4096,
     ) -> "Telemetry":
         """Rebuild a sink from an exported jsonl event stream.
 
@@ -1158,7 +1040,7 @@ class Telemetry:
         integer ``qpu``, ...), raises a ``ValueError`` naming the line and
         the field.  Fields the replay does not read are not checked.
         """
-        sink = cls(epsilon=epsilon, queue_depth_capacity=queue_depth_capacity)
+        sink = cls(epsilon=epsilon)
         for line_no, record in _numbered_events(source):
             _check_replay_fields(record, line_no)
             sink._apply(record)

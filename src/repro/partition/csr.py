@@ -39,10 +39,6 @@ class CSRGraph:
     degrees:
         Weighted degree of every node: ``sum()`` of its row, the same
         expression networkx-based code used.
-    seeds:
-        The partitioner's spread-out region-growing seeds per part count,
-        filled in by :func:`repro.partition.kway._spread_seeds` (they depend
-        on the graph alone).
     """
 
     __slots__ = (
@@ -52,8 +48,6 @@ class CSRGraph:
         "weights",
         "node_weights",
         "degrees",
-        "seeds",
-        "_hops",
     )
 
     def __init__(
@@ -69,8 +63,6 @@ class CSRGraph:
         self.weights = weights
         self.node_weights = node_weights
         self.degrees = [sum(row) for row in weights]
-        self.seeds: Dict[int, List[int]] = {}
-        self._hops: Dict[int, List[int]] = {}
 
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "CSRGraph":
@@ -118,15 +110,7 @@ class CSRGraph:
                     yield labels[u], labels[v], weight
 
     def hops(self, source: int) -> List[int]:
-        """BFS hop distance from ``source`` to every node (``n`` if unreachable).
-
-        Rows are cached per source: a circuit's graph is frozen, and the
-        partitioner's seed spreading asks for the same sources on every
-        attempt.
-        """
-        row = self._hops.get(source)
-        if row is not None:
-            return row
+        """BFS hop distance from ``source`` to every node (``n`` if unreachable)."""
         n = len(self.labels)
         row = [n] * n
         row[source] = 0
@@ -142,7 +126,6 @@ class CSRGraph:
                         row[v] = depth
                         reached.append(v)
             frontier = reached
-        self._hops[source] = row
         return row
 
 

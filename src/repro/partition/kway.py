@@ -34,28 +34,22 @@ def _spread_seeds(graph: CSRGraph, num_parts: int) -> List[int]:
 
     Each next seed is the node farthest in hops from the seeds so far (ties
     to the heavier weighted degree, then node order).  Seeds sit at distance
-    0 and every other node at 1 or more, so it is never a seed again.  The
-    result depends on the graph alone and is memoized on it.
+    0 and every other node at 1 or more, so it is never a seed again.
     """
-    seeds = graph.seeds.get(num_parts)
-    if seeds is not None:
-        return seeds
     n = graph.number_of_nodes()
     if n <= num_parts:
-        seeds = list(range(n))
-    else:
-        degrees = graph.degrees
-        # Start from the highest-degree-weight node so dense regions get a seed.
-        seeds = [max(range(n), key=degrees.__getitem__)]
-        distance = graph.hops(seeds[0])
-        while len(seeds) < num_parts:
-            candidate = max(range(n), key=lambda u: (distance[u], degrees[u]))
-            seeds.append(candidate)
-            distance = [
-                d if d <= hop else hop
-                for d, hop in zip(distance, graph.hops(candidate))
-            ]
-    graph.seeds[num_parts] = seeds
+        return list(range(n))
+    degrees = graph.degrees
+    # Start from the highest-degree-weight node so dense regions get a seed.
+    seeds = [max(range(n), key=degrees.__getitem__)]
+    distance = graph.hops(seeds[0])
+    while len(seeds) < num_parts:
+        candidate = max(range(n), key=lambda u: (distance[u], degrees[u]))
+        seeds.append(candidate)
+        distance = [
+            d if d <= hop else hop
+            for d, hop in zip(distance, graph.hops(candidate))
+        ]
     return seeds
 
 

@@ -3,8 +3,8 @@
 On a busy cloud the streaming simulator re-runs placement for the same pending
 job many times, and every ``CloudQCPlacement.place`` call explores a grid of
 ``(imbalance, num_parts)`` candidates.  From one attempt to the next almost
-every input is unchanged: the circuit-side artifacts (interaction graph, its
-networkx form, partitions, quotient graphs) never change at all, and the
+every input is unchanged: the circuit-side artifacts (the interaction graph's
+CSR form, partitions, quotient graphs) never change at all, and the
 cloud-side artifacts (resource graph, detected communities, selected QPU sets)
 only change when a job is admitted or released.
 
@@ -13,8 +13,8 @@ Every partition and every community detection runs with one seed,
 (as METIS, the paper's partitioner, returns one partition per input).
 :class:`PlacementContext` memoizes both sides:
 
-* **circuit identity** keys the interaction graph and its networkx form,
-  stored together with the CSR form the partitioner runs on, and
+* **circuit identity** keys the CSR form of the interaction graph, the
+  only form the partitioner and the quotients read, and
   ``(circuit, num_parts, imbalance)`` keys partition assignments and
   quotient graphs.  A quotient's entry also holds Algorithm 2's part order
   (:func:`~repro.placement.mapping.mapping_order`), computed once when the
@@ -38,8 +38,6 @@ from __future__ import annotations
 
 from collections import Counter
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from ..circuits import InteractionGraph, QuantumCircuit, quotient_adjacency
 from ..cloud import QuantumCloud
@@ -70,9 +68,7 @@ class PlacementContext:
     def __init__(self) -> None:
         # Circuit-side caches, keyed by circuit identity.
         self._circuits: Dict[int, QuantumCircuit] = {}
-        self._interactions: Dict[int, InteractionGraph] = {}
-        # The networkx form and the CSR form built from it share one entry.
-        self._interaction_nx: Dict[int, Tuple[nx.Graph, CSRGraph]] = {}
+        self._csr: Dict[int, CSRGraph] = {}
         self._partitions: Dict[Tuple[int, int, float], Dict[int, int]] = {}
         # Each quotient is stored with its Algorithm 2 part order.
         self._quotients: Dict[
@@ -104,7 +100,7 @@ class PlacementContext:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "interaction_graphs": len(self._interactions),
+            "interaction_graphs": len(self._csr),
             "partitions": len(self._partitions),
             "communities": len(self._communities),
             "qpu_sets": len(self._qpu_sets),
@@ -125,41 +121,25 @@ class PlacementContext:
         self._circuits.setdefault(key, circuit)
         return key
 
-    def interaction(self, circuit: QuantumCircuit) -> InteractionGraph:
-        """The circuit's interaction graph, built once per circuit."""
-        key = self._circuit_key(circuit)
-        cached = self._interactions.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        graph = InteractionGraph.from_circuit(circuit)
-        self._interactions[key] = graph
-        return graph
-
-    def interaction_nx(self, circuit: QuantumCircuit) -> nx.Graph:
-        """The networkx form of the interaction graph (read-only, shared)."""
-        return self._interaction_forms(circuit)[0]
-
     def interaction_csr(self, circuit: QuantumCircuit) -> CSRGraph:
-        """The CSR form of :meth:`interaction_nx`'s graph (read-only, shared).
+        """The CSR form of the circuit's interaction graph (read-only, shared).
 
-        Built once, in that graph's adjacency order, and stored in the same
-        entry, so a lookup counts as one interaction-graph lookup.
+        Built once per circuit from a networkx copy of the interaction
+        graph: the copy re-adds the edges row by row, so its adjacency order,
+        which the CSR rows keep and the partitioner's tie-breaks follow,
+        differs from the original graph's.
         """
-        return self._interaction_forms(circuit)[1]
-
-    def _interaction_forms(self, circuit: QuantumCircuit) -> Tuple[nx.Graph, CSRGraph]:
         key = self._circuit_key(circuit)
-        cached = self._interaction_nx.get(key)
+        cached = self._csr.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        graph = self.interaction(circuit).to_networkx()
-        forms = (graph, CSRGraph.from_networkx(graph))
-        self._interaction_nx[key] = forms
-        return forms
+        graph = CSRGraph.from_networkx(
+            InteractionGraph.from_circuit(circuit).to_networkx()
+        )
+        self._csr[key] = graph
+        return graph
 
     def partition(
         self, circuit: QuantumCircuit, num_parts: int, imbalance: float
@@ -233,7 +213,8 @@ class PlacementContext:
     ) -> QuotientAdjacency:
         # The CSR rows follow the networkx copy's adjacency order, but a copy
         # keeps the original's edge order (row u, neighbours v >= u), so this
-        # equals the interaction graph's own quotient_graph, row order included.
+        # equals quotient_adjacency over the interaction graph's own edges,
+        # row order included.
         return quotient_adjacency(self.interaction_csr(circuit).edges(), assignment)
 
     # ------------------------------------------------------------------

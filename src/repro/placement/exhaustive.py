@@ -46,11 +46,7 @@ class ExhaustivePlacement(PlacementAlgorithm):
                 f"exhaustive placement is limited to {self.max_qubits} qubits; "
                 f"{circuit.name} has {circuit.num_qubits}"
             )
-        interaction = (
-            context.interaction(circuit)
-            if context is not None
-            else InteractionGraph.from_circuit(circuit)
-        )
+        interaction = InteractionGraph.from_circuit(circuit)
         adjacency = interaction.adjacency()
         qpu_ids = cloud.qpu_ids
         capacity = cloud.available_computing()

@@ -59,11 +59,7 @@ class GeneticPlacement(PlacementAlgorithm):
         context: Optional["PlacementContext"] = None,
     ) -> Placement:
         rng = np.random.default_rng(seed)
-        interaction = (
-            context.interaction(circuit)
-            if context is not None
-            else InteractionGraph.from_circuit(circuit)
-        )
+        interaction = InteractionGraph.from_circuit(circuit)
         adjacency = interaction.adjacency()
         capacity = cloud.available_computing()
 

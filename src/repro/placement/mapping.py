@@ -101,7 +101,6 @@ def map_partitions_to_qpus(
     quotient: Union[nx.Graph, QuotientAdjacency],
     cloud: QuantumCloud,
     candidate_qpus: Sequence[int],
-    allow_sharing: bool = True,
     context: Optional["PlacementContext"] = None,
     order: Optional[Sequence[Hashable]] = None,
 ) -> Dict[Hashable, int]:
@@ -122,11 +121,9 @@ def map_partitions_to_qpus(
         already held by other jobs.
     candidate_qpus:
         QPUs selected by community detection (or BFS); other QPUs are used only
-        if the candidates run out of capacity.
-    allow_sharing:
-        Whether two parts may share one QPU when capacity allows.  Algorithm 2
-        prefers distinct QPUs (sharing would merge the parts), so shared QPUs
-        are only used as a fallback.
+        if the candidates run out of capacity.  Two parts share a QPU only
+        when no free QPU fits: Algorithm 2 prefers distinct QPUs (sharing
+        would merge the parts).
     context:
         Optional :class:`~repro.placement.PlacementContext`; memoizes the
         candidate set's topology center (a pure function of the static
@@ -175,7 +172,6 @@ def map_partitions_to_qpus(
             available,
             used,
             community_center,
-            allow_sharing,
         )
         if target is None:
             raise MappingError(
@@ -198,7 +194,6 @@ def _pick_qpu(
     available: Mapping[int, int],
     used: Set[int],
     community_center: int,
-    allow_sharing: bool,
 ) -> Optional[int]:
     # Already-mapped neighbouring parts, in quotient adjacency order: the
     # order the attraction sum below adds their terms in.
@@ -219,11 +214,11 @@ def _pick_qpu(
     # Free candidates first, then shared candidates, then the rest of the
     # cloud (free, then shared).
     pool = [q for q in candidates if q not in used and available[q] >= size]
-    if not pool and allow_sharing:
+    if not pool:
         pool = [q for q in candidates if q in used and available[q] >= size]
     if not pool:
         pool = [q for q in qpu_ids if q not in used and available[q] >= size]
-    if not pool and allow_sharing:
+    if not pool:
         pool = [q for q in qpu_ids if available[q] >= size]
     return min(pool, key=rank) if pool else None
 

@@ -57,11 +57,7 @@ class SimulatedAnnealingPlacement(PlacementAlgorithm):
         context: Optional["PlacementContext"] = None,
     ) -> Placement:
         rng = np.random.default_rng(seed)
-        interaction = (
-            context.interaction(circuit)
-            if context is not None
-            else InteractionGraph.from_circuit(circuit)
-        )
+        interaction = InteractionGraph.from_circuit(circuit)
         adjacency = interaction.adjacency()
 
         mapping = random_mapping(circuit, cloud, rng)

@@ -248,14 +248,16 @@ class TestSnapshotIO:
 
     def test_version_three_snapshot_refused(self, tmp_path):
         # Version 3 snapshots carry the work-loss model in the fingerprint
-        # and wasted-work fields in each job's progress ledger.
+        # and wasted-work fields in each job's progress ledger; version 4
+        # snapshots carry the telemetry's sampled queue-depth series.
         path = str(tmp_path / "snap.json")
-        with open(path, "w") as handle:
-            json.dump({"schema": CHECKPOINT_SCHEMA, "version": 3}, handle)
-        with pytest.raises(CheckpointMismatchError) as excinfo:
-            read_snapshot(path)
-        assert excinfo.value.field == "version"
-        assert excinfo.value.saved == 3
+        for version in (3, 4):
+            with open(path, "w") as handle:
+                json.dump({"schema": CHECKPOINT_SCHEMA, "version": version}, handle)
+            with pytest.raises(CheckpointMismatchError) as excinfo:
+                read_snapshot(path)
+            assert excinfo.value.field == "version"
+            assert excinfo.value.saved == version
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property tests: resuming from any snapshot is bit-identical to the
-uninterrupted run, across schedulers, with preemption and chaos active."""
+uninterrupted run, across schedulers, with preemption and chaos active, and
+with the per-job results dropped as jobs finish."""
 
 import json
 import os
@@ -25,7 +26,6 @@ from repro.multitenant import (
     generate_fleet_events,
     write_trace,
 )
-from repro.multitenant.telemetry import _DepthSeries
 from repro.placement import CloudQCPlacement
 from repro.scheduling import (
     AverageScheduler,
@@ -54,10 +54,11 @@ class _Scenario:
     hypothesis examples only pay for the resume they exercise.
     """
 
-    def __init__(self, tmp_dir, scheduler, chaos):
+    def __init__(self, tmp_dir, scheduler, chaos, keep_results=True):
         self.dir = tmp_dir
         self.scheduler = scheduler
         self.chaos = chaos
+        self.keep_results = keep_results
         self.trace_path = os.path.join(tmp_dir, "trace.jsonl")
         self.events_path = os.path.join(tmp_dir, "events.jsonl") if chaos else None
         self.topology = CloudTopology.random(
@@ -128,11 +129,19 @@ class _Scenario:
             trace=self.trace_path,
             seed=9,
             telemetry=telemetry,
+            keep_results=self.keep_results,
             checkpoint=checkpoint,
         )
-        if telemetry is not None:
-            telemetry.close()
-        return canonical(results)
+        return self._outcome(results, telemetry)
+
+    @staticmethod
+    def _outcome(results, telemetry):
+        """The results and, with a sink, its summary (all that is left of a
+        run that drops its results)."""
+        if telemetry is None:
+            return canonical(results)
+        telemetry.close()
+        return canonical(results), repr(telemetry.summary())
 
     def resume(self, snapshot_index):
         if self.events_path is not None:
@@ -146,9 +155,7 @@ class _Scenario:
         results = self._make_sim().resume_stream(
             self.snapshots[snapshot_index], telemetry=telemetry
         )
-        if telemetry is not None:
-            telemetry.close()
-        resumed = canonical(results)
+        resumed = self._outcome(results, telemetry)
         if self.events_path is not None:
             with open(self.events_path, "rb") as handle:
                 assert handle.read() == self.full_events, (
@@ -160,14 +167,16 @@ class _Scenario:
 _SCENARIOS = {}
 
 
-def scenario(tmp_root, scheduler, chaos=False):
-    key = (scheduler.__name__, chaos)
+def scenario(tmp_root, scheduler, chaos=False, keep_results=True):
+    key = (scheduler.__name__, chaos, keep_results)
     if key not in _SCENARIOS:
         directory = os.path.join(
-            tmp_root, f"{scheduler.__name__}_{'chaos' if chaos else 'plain'}"
+            tmp_root,
+            f"{scheduler.__name__}_{'chaos' if chaos else 'plain'}"
+            f"{'' if keep_results else '_dropped'}",
         )
         os.makedirs(directory, exist_ok=True)
-        _SCENARIOS[key] = _Scenario(directory, scheduler, chaos)
+        _SCENARIOS[key] = _Scenario(directory, scheduler, chaos, keep_results)
     return _SCENARIOS[key]
 
 
@@ -204,6 +213,14 @@ class TestResumeBitIdentity:
         )
         assert scn.resume(index) == scn.baseline
 
+    def test_resume_every_snapshot_without_kept_results(self, tmp_root):
+        """A run that drops finished jobs resumes from every snapshot, also
+        when a finished job's rescue check is still queued."""
+        scn = scenario(tmp_root, CloudQCScheduler, chaos=True, keep_results=False)
+        assert scn.baseline[0] == []
+        for index in range(len(scn.snapshots)):
+            assert scn.resume(index) == scn.baseline, f"snapshot {index}"
+
     def test_resume_inherits_checkpoint_cadence(self, tmp_root):
         """A resumed run keeps snapshotting to the same path by default."""
         scn = scenario(tmp_root, CloudQCScheduler)
@@ -219,7 +236,7 @@ class TestResumeBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# Sketch / reservoir round-trip properties
+# Sketch / queue-depth round-trip properties
 # ----------------------------------------------------------------------
 
 
@@ -253,24 +270,35 @@ class TestSketchRoundTrip:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        depths=st.lists(
-            st.integers(min_value=0, max_value=50), min_size=1, max_size=200
+        moves=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=2), st.booleans()),
+            min_size=1,
+            max_size=200,
         ),
         split=st.integers(min_value=0, max_value=200),
-        capacity=st.integers(min_value=4, max_value=32),
     )
-    def test_depth_series_roundtrip(self, depths, split, capacity):
-        split = min(split, len(depths))
-        direct = _DepthSeries(capacity)
-        source = _DepthSeries(capacity)
-        for i, depth in enumerate(depths[:split]):
-            direct.observe(float(i), depth)
-            source.observe(float(i), depth)
-        state = json.loads(json.dumps(source.checkpoint_state()))
-        restored = _DepthSeries.from_state(state)
-        for i, depth in enumerate(depths[split:], split):
-            direct.observe(float(i), depth)
-            restored.observe(float(i), depth)
-        assert restored.points() == direct.points()
-        assert restored.current_max() == direct.current_max()
-        assert restored.exact == direct.exact
+    def test_depth_series_roundtrip(self, moves, split):
+        """A sink restored mid-way through a series of queue transitions
+        ends in the state of one that saw them all (the netted maximum
+        depth and its open instant included)."""
+        split = min(split, len(moves))
+        direct = Telemetry()
+        source = Telemetry()
+
+        def apply(sink, steps, time):
+            for advance, admit in steps:
+                time += advance
+                if admit or sink.depth == 0:
+                    sink.job_admitted("job", float(time))
+                else:
+                    sink.job_placed("job", float(time))
+            return time
+
+        time = apply(direct, moves[:split], 0)
+        apply(source, moves[:split], 0)
+        restored = Telemetry()
+        restored.restore_state(json.loads(json.dumps(source.checkpoint_state())))
+        apply(direct, moves[split:], time)
+        apply(restored, moves[split:], time)
+        assert restored.max_queue_depth == direct.max_queue_depth
+        assert restored.checkpoint_state() == direct.checkpoint_state()

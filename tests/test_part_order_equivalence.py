@@ -103,7 +103,7 @@ def ref_map_partitions_to_qpus(part_sizes, quotient, cloud, candidate_qpus):
         size = part_sizes[part]
         target = _pick_qpu(
             part, size, mapping, quotient, distances, qpu_ids, candidates,
-            available, used, community_center, True,
+            available, used, community_center,
         )
         if target is None:
             raise MappingError(f"no QPU can host part {part!r} needing {size} qubits")

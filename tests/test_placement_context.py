@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.circuits import InteractionGraph
 from repro.circuits.library import get_circuit
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.community import select_qpu_community
@@ -96,10 +97,9 @@ class TestPlacementContext:
     def test_interaction_graph_cached_per_circuit(self):
         context = PlacementContext()
         circuit = get_circuit("ghz_n8")
-        assert context.interaction(circuit) is context.interaction(circuit)
-        assert context.interaction_nx(circuit) is context.interaction_nx(circuit)
+        assert context.interaction_csr(circuit) is context.interaction_csr(circuit)
         other = get_circuit("qft_n16")
-        assert context.interaction(other) is not context.interaction(circuit)
+        assert context.interaction_csr(other) is not context.interaction_csr(circuit)
 
     def test_partition_cached_per_parts_and_imbalance(self):
         context = PlacementContext()
@@ -114,7 +114,10 @@ class TestPlacementContext:
         context = PlacementContext()
         circuit = get_circuit("qft_n16")
         expected = partition_graph(
-            context.interaction_nx(circuit), 3, imbalance=0.3, seed=PLACEMENT_SEED
+            InteractionGraph.from_circuit(circuit).to_networkx(),
+            3,
+            imbalance=0.3,
+            seed=PLACEMENT_SEED,
         )
         assert context.partition(circuit, 3, 0.3) == expected
 
@@ -170,7 +173,7 @@ class TestPlacementContext:
         assert len(context._partitions) <= 8
         # Evicted entries recompute to the same value.
         expected = partition_graph(
-            context.interaction_nx(circuit),
+            InteractionGraph.from_circuit(circuit).to_networkx(),
             3,
             imbalance=imbalances[0],
             seed=PLACEMENT_SEED,
@@ -181,8 +184,8 @@ class TestPlacementContext:
         context = PlacementContext()
         assert context.hit_rate == 0.0
         circuit = get_circuit("ghz_n8")
-        context.interaction(circuit)
-        context.interaction(circuit)
+        context.interaction_csr(circuit)
+        context.interaction_csr(circuit)
         assert context.hits == 1 and context.misses == 1
         assert context.hit_rate == 0.5
         assert context.stats()["interaction_graphs"] == 1

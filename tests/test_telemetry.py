@@ -2,7 +2,8 @@
 
 Covers the GK quantile sketch (including Hypothesis property tests that pin
 the documented rank-error bound across adversarial distributions), the
-online queue-depth series, the event stream round trip, the sketch-backed
+netted maximum queue depth and the per-instant depths of the event stream,
+the event stream round trip, the sketch-backed
 ``StreamSummary.from_telemetry``, and -- most importantly -- golden A/B
 tests that attaching a sink leaves every seeded run bit-identical across
 all four schedulers, with ``telemetry=None`` runs unchanged from PR-5.
@@ -40,7 +41,6 @@ from repro.multitenant import (
     read_snapshot,
     write_trace,
 )
-from repro.multitenant.telemetry import _DepthSeries
 from repro.placement import CloudQCPlacement
 from repro.scheduling import (
     AverageScheduler,
@@ -221,42 +221,53 @@ class TestQuantileSketchProperties:
 
 
 # ----------------------------------------------------------------------
-# _DepthSeries unit tests
+# The queue-depth series the sink observes: its netted maximum
 # ----------------------------------------------------------------------
 class TestDepthSeries:
-    def test_exact_while_under_capacity(self):
-        series = _DepthSeries(capacity=16)
-        for i, depth in enumerate([1, 2, 1, 2, 3, 2, 1, 0]):
-            series.observe(float(i), depth)
-        assert series.exact
-        assert series.points() == [
-            (0.0, 1), (1.0, 2), (2.0, 1), (3.0, 2),
-            (4.0, 3), (5.0, 2), (6.0, 1), (7.0, 0),
-        ]
-        assert series.current_max() == 3
+    def test_max_tracks_the_peak(self):
+        sink = Telemetry()
+        for time, step in enumerate([1, 1, -1, 1, 1, -1, -1, -1]):
+            if step > 0:
+                sink.job_admitted(f"job-{time}", float(time))
+            else:
+                sink.job_placed(f"job-{time}", float(time))
+        assert sink.depth == 0
+        assert sink.max_queue_depth == 3
 
     def test_same_time_netting(self):
-        # A +1/-1 at the same instant must net out, matching
-        # metrics.queue_depth_timeseries semantics.
-        series = _DepthSeries(capacity=16)
-        series.observe(1.0, 1)
-        series.observe(1.0, 0)   # placed at its own arrival instant
-        series.observe(2.0, 1)
-        assert series.points() == [(2.0, 1)]
+        # Depths at one instant net out, matching
+        # metrics.queue_depth_timeseries semantics: jobs placed at their
+        # own arrival instant never raise the maximum.
+        sink = Telemetry()
+        for job in ("a", "b"):
+            sink.job_admitted(job, 1.0)
+        for job in ("a", "b"):
+            sink.job_placed(job, 1.0)
+        assert sink.max_queue_depth == 0
+        sink.job_admitted("c", 2.0)
+        # The open instant counts before a later one closes it.
+        assert sink.max_queue_depth == 1
+        sink.job_placed("c", 3.0)
+        assert sink.max_queue_depth == 1
 
-    def test_reservoir_keeps_max_exact(self):
-        series = _DepthSeries(capacity=8)
-        depths = [(i % 13) for i in range(1_000)]
-        for i, depth in enumerate(depths):
-            series.observe(float(i), depth)
-        assert not series.exact
-        # capacity reservoir slots plus the still-pending live tail point
-        assert len(series.points()) <= 8 + 1
-        assert series.current_max() == 12
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            _DepthSeries(capacity=0)
+def netted_depths(events):
+    """The (time, depth) steps an event stream records: the last depth of
+    each instant, where it differs from the previous instant's."""
+    instants = []
+    for record in map(json.loads, events.splitlines()):
+        if "depth" not in record:
+            continue
+        if instants and instants[-1][0] == record["t"]:
+            instants[-1] = (record["t"], record["depth"])
+        else:
+            instants.append((record["t"], record["depth"]))
+    steps, depth = [], 0
+    for time, after in instants:
+        if after != depth:
+            steps.append((time, after))
+            depth = after
+    return steps
 
 
 # ----------------------------------------------------------------------
@@ -476,33 +487,34 @@ class TestKeepResults:
 
 
 # ----------------------------------------------------------------------
-# Queue-depth series: exact under preemption (the documented
-# queue_depth_timeseries undercount, satellite 2)
+# Queue-depth series of the event stream: exact under preemption (the
+# documented queue_depth_timeseries undercount)
 # ----------------------------------------------------------------------
 class TestQueueDepthSeries:
     def test_matches_reconstruction_without_preemption(self):
-        sink = Telemetry()
+        buffer = io.StringIO()
+        sink = Telemetry(events=buffer)
         results = run_burst_replay(telemetry=sink)
-        assert sink.queue_depth_exact
-        assert sink.queue_depth_series() == queue_depth_timeseries(results)
+        assert netted_depths(buffer.getvalue()) == queue_depth_timeseries(results)
         assert sink.max_queue_depth == max(
             depth for _, depth in queue_depth_timeseries(results)
         )
 
     def test_exact_under_preemption_where_reconstruction_undercounts(self):
-        sink = Telemetry()
+        buffer = io.StringIO()
+        sink = Telemetry(events=buffer)
         results = run_burst_replay(
             telemetry=sink, preemption_policy=DeadlineRescue(horizon=5.0)
         )
-        assert sink.queue_depth_exact
         reconstructed = queue_depth_timeseries(results)
-        online = sink.queue_depth_series()
+        online = netted_depths(buffer.getvalue())
         # DeadlineRescue requeues evicted victims; the per-job results only
         # record each job's FIRST queue stay, so the reconstruction misses
         # every requeue interval and undercounts the peak.
         assert sum(r.num_preemptions for r in results) > 0
         reconstructed_max = max(depth for _, depth in reconstructed)
         assert sink.max_queue_depth > reconstructed_max
+        assert sink.max_queue_depth == max(depth for _, depth in online)
         assert len(online) != len(reconstructed)
         # The online series ends with an empty queue: every admitted or
         # requeued job eventually left it.
@@ -553,7 +565,6 @@ class TestEventStream:
         assert rebuilt.tenant_counts == sink.tenant_counts
         assert rebuilt.qpu_placements == sink.qpu_placements
         assert rebuilt.max_queue_depth == sink.max_queue_depth
-        assert rebuilt.queue_depth_series() == sink.queue_depth_series()
 
     def test_round_trip_from_file(self, tmp_path):
         path = str(tmp_path / "events.jsonl")

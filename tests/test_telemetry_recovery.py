@@ -125,11 +125,6 @@ class TestSinkRestore:
         with pytest.raises(CheckpointError, match="epsilon"):
             Telemetry(epsilon=0.01).restore_state(state)
 
-    def test_restore_rejects_capacity_mismatch(self):
-        state = Telemetry(queue_depth_capacity=64).checkpoint_state()
-        with pytest.raises(CheckpointError, match="capacity"):
-            Telemetry(queue_depth_capacity=128).restore_state(state)
-
     def test_restore_rejects_shortened_events_file(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         source = Telemetry(events=path)
