@@ -6,8 +6,8 @@ Demonstrates the trace-ingestion path (PR 7; see docs/architecture.md,
 
 1. generate a synthetic cluster trace with
    :func:`~repro.multitenant.generate_cluster_trace` and write it as a
-   versioned ``repro-trace`` file (jsonl or CSV -- both self-describing and
-   strictly validated on read);
+   versioned ``repro-trace`` jsonl file (self-describing and strictly
+   validated on read);
 2. show the on-disk shape: the schema header plus one line per arrival;
 3. replay the file with ``run_stream(trace=path)`` and
    ``keep_results=False`` -- records are decoded one at a time and each job
@@ -23,10 +23,10 @@ network schedulers).
 
 Run with::
 
-    python examples/replay_trace.py [num_jobs] [format]
+    python examples/replay_trace.py [num_jobs]
 
-``num_jobs`` defaults to 400 (a few seconds); ``format`` is ``jsonl``
-(default) or ``csv``.
+``num_jobs`` defaults to 400 (a few seconds).  The trace has one encoding,
+so there is no format argument.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ from repro.scheduling import CloudQCScheduler
 POOL = ["ghz_n4", "ghz_n6", "ghz_n8", "ghz_n12", "ghz_n16"]
 
 
-def main(num_jobs: int, file_format: str) -> None:
+def main(num_jobs: int) -> None:
     if num_jobs < 1:
         raise SystemExit("num_jobs must be at least 1")
-    if file_format not in ("jsonl", "csv"):
-        raise SystemExit("format must be 'jsonl' or 'csv'")
 
     # 1. Record: generate a synthetic submission trace and write it out.
     trace = generate_cluster_trace(
@@ -68,7 +66,7 @@ def main(num_jobs: int, file_format: str) -> None:
         names=POOL,
     )
     with tempfile.TemporaryDirectory(prefix="replay-trace-") as tmp:
-        path = Path(tmp) / f"cluster.{file_format}"
+        path = Path(tmp) / "cluster.jsonl"
         count = trace.to_file(path)
         print(
             f"wrote {count} records ({path.stat().st_size} bytes) "
@@ -117,6 +115,4 @@ def main(num_jobs: int, file_format: str) -> None:
 
 
 if __name__ == "__main__":
-    jobs_argument = int(sys.argv[1]) if len(sys.argv) > 1 else 400
-    format_argument = sys.argv[2] if len(sys.argv) > 2 else "jsonl"
-    main(jobs_argument, format_argument)
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 400)

@@ -89,7 +89,6 @@ EXAMPLES = [
     ["examples/stream_admission.py", "40"],
     ["examples/stream_preemption.py", "2", "--export", "{tmp}/events.jsonl"],
     ["examples/replay_trace.py", "40"],
-    ["examples/replay_trace.py", "40", "csv"],
     ["examples/stream_chaos.py", "2"],
 ]
 WORKLOADS = ["anchor-burst", "epr-contention", "cluster-trace", "paper-fig22"]

@@ -7,7 +7,7 @@ num_qubits)`` constructs an arbitrary size of a given family.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from ..circuit import QuantumCircuit
 from .basic import bernstein_vazirani, cat_state, ghz, ising, w_state
@@ -46,16 +46,25 @@ def build(family: str, num_qubits: int, **kwargs) -> QuantumCircuit:
     return CIRCUIT_FAMILIES[family](num_qubits, **kwargs)
 
 
-def get_circuit(name: str, **kwargs) -> QuantumCircuit:
-    """Build a circuit from a QASMBench-style name such as ``"qft_n63"``.
+def parse_circuit_name(name: str) -> Tuple[str, int]:
+    """Split a QASMBench-style name such as ``"qft_n63"`` into its family
+    and qubit count, without checking the family.
 
     The name is ``<family>_n<num_qubits>``; families containing underscores
-    (``swap_test``, ``vqe_uccsd``) are handled as well.
+    (``swap_test``, ``vqe_uccsd``) are handled as well.  Every family builds
+    exactly the qubit count its name gives, or refuses it with
+    ``ValueError``, so the count is known before the circuit is built.
     """
     base, _, suffix = name.rpartition("_n")
     if not base or not suffix.isdigit():
         raise KeyError(f"cannot parse circuit name {name!r}")
-    return build(base, int(suffix), **kwargs)
+    return base, int(suffix)
+
+
+def get_circuit(name: str, **kwargs) -> QuantumCircuit:
+    """Build a circuit from a QASMBench-style name such as ``"qft_n63"``
+    (see :func:`parse_circuit_name`)."""
+    return build(*parse_circuit_name(name), **kwargs)
 
 
 def available_circuits() -> List[str]:
@@ -101,6 +110,7 @@ __all__ = [
     "hardware_efficient_ansatz",
     "ising",
     "multiplier",
+    "parse_circuit_name",
     "qaoa",
     "qft",
     "quantum_knn",

@@ -399,9 +399,6 @@ class QuantumCloud:
         self._resource_graph_cache = (version, graph)
         return graph
 
-    def snapshot(self) -> Dict[int, Dict[str, int]]:
-        return {qpu_id: qpu.snapshot() for qpu_id, qpu in self.qpus.items()}
-
     def clone_empty(self) -> "QuantumCloud":
         """A fresh cloud with the same topology, membership and capacities
         (including per-QPU EPR overrides) but no allocations."""

@@ -141,25 +141,3 @@ class Controller:
             ),
             key=lambda job: job.job_id,
         )
-
-    # ------------------------------------------------------------------
-    # Monitoring
-    # ------------------------------------------------------------------
-    def pending_jobs(self) -> List[Job]:
-        return [j for j in self.jobs.values() if j.status is JobStatus.PENDING]
-
-    def running_jobs(self) -> List[Job]:
-        return [
-            j
-            for j in self.jobs.values()
-            if j.status in (JobStatus.PLACED, JobStatus.RUNNING)
-        ]
-
-    def completed_jobs(self) -> List[Job]:
-        return [j for j in self.jobs.values() if j.status is JobStatus.COMPLETED]
-
-    def cloud_status(self) -> Dict[int, Dict[str, int]]:
-        return self.cloud.snapshot()
-
-    def job(self, job_id: str) -> Optional[Job]:
-        return self.jobs.get(job_id)

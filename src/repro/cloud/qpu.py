@@ -126,12 +126,3 @@ class QPU:
     @property
     def utilization(self) -> float:
         return self.computing_used / self.computing_capacity
-
-    def snapshot(self) -> Dict[str, int]:
-        """A plain-dict view of the QPU state (used by the controller/monitor)."""
-        return {
-            "qpu_id": self.qpu_id,
-            "computing_capacity": self.computing_capacity,
-            "computing_used": self.computing_used,
-            "communication_capacity": self.communication_capacity,
-        }

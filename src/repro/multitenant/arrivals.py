@@ -76,19 +76,6 @@ def bursty_arrivals(
     return sorted(arrivals)
 
 
-def rebase_timestamp(
-    timestamp: float, first: float, start: float, time_scale: float
-) -> float:
-    """Map one raw trace timestamp into simulator time.
-
-    The single formula shared by :func:`trace_arrivals` and the streaming
-    :class:`~repro.multitenant.trace.TraceReader`, so the two rebase
-    recorded timestamps identically: the earliest timestamp lands at
-    ``start`` and every gap is multiplied by ``time_scale``.
-    """
-    return start + (timestamp - first) * time_scale
-
-
 def trace_arrivals(
     trace: Iterable[float],
     start: float = 0.0,
@@ -124,7 +111,4 @@ def trace_arrivals(
                 "sort the trace explicitly if the recording order is unreliable"
             )
     first = times[0]
-    return [
-        rebase_timestamp(timestamp, first, start, time_scale)
-        for timestamp in times
-    ]
+    return [start + (timestamp - first) * time_scale for timestamp in times]

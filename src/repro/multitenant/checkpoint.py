@@ -11,7 +11,7 @@ Snapshot layout (json, one object)::
 
     {
       "schema": "repro-checkpoint",
-      "version": 5,
+      "version": 6,
       "checksum": "sha256:<hex of the serialized state>",
       "fingerprint": { ... run configuration, compared field-by-field ... },
       "state": { ... everything needed to resume ... }
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 CHECKPOINT_SCHEMA = "repro-checkpoint"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 class CheckpointError(RuntimeError):

@@ -78,6 +78,7 @@ from typing import (
 import numpy as np
 
 from ..circuits import QuantumCircuit
+from ..circuits.library import CIRCUIT_FAMILIES, parse_circuit_name
 from ..cloud import QPU, Controller, Job, JobStatus, PlacementError, QuantumCloud
 from ..cloud.job import job_counter_state, reserve_job_ids, set_job_counter
 from ..community import CommunityError
@@ -152,15 +153,25 @@ class ClusterSimulationError(RuntimeError):
 _INHERIT_CHECKPOINT = object()
 
 
-def _record_arrivals(records: Iterable[TraceRecord]) -> Iterator[_Arrival]:
+def _record_arrivals(
+    records: Iterable[TraceRecord], capacity: int
+) -> Iterator[_Arrival]:
     """Trace records as cursor arrivals; each job's id is minted at arrival.
 
     A record naming a circuit the library cannot build raises
     :class:`~repro.multitenant.TraceFormatError` with the record's index
-    (and its line, when a :class:`TraceCursor` reads it).
+    (and its line, when a :class:`TraceCursor` reads it).  One naming a
+    library circuit wider than the cloud's ``capacity`` raises
+    :class:`ClusterSimulationError` before the circuit is built.
     """
     for index, record in enumerate(records):
         try:
+            family, num_qubits = parse_circuit_name(record.circuit)
+            if family in CIRCUIT_FAMILIES and num_qubits > capacity:
+                raise ClusterSimulationError(
+                    f"circuit {record.circuit} needs {num_qubits} qubits but "
+                    f"the cloud only has {capacity}"
+                )
             circuit = record.resolve_circuit()
         except (KeyError, ValueError) as exc:
             line = None
@@ -313,7 +324,6 @@ class _EventDrivenBatch:
         "_trace_info": "captured as the 'trace' key",
         "_arrivals": "live arrival iterator; a resumed run re-opens the trace and seeks via the 'cursor' key",
         "_trace_cursor": "captured as the 'cursor' key via TraceCursor checkpointing",
-        "_stream_capacity": "derived from the template cloud's total capacity in __init__",
         "_signal_flag": "transient kill-signal latch; a snapshot is always taken with the flag clear",
         "_job_capture_cache": "memo for _capture_job keyed by object identity; identity does not survive a restore",
         "_captured_results": "memo of already-serialized results; rebuilt lazily after restore",
@@ -431,7 +441,6 @@ class _EventDrivenBatch:
         self._trace_cursor = trace_cursor
         self._stream_index = 0
         self._last_stream_arrival: Optional[float] = None
-        self._stream_capacity = simulator.template_cloud.total_computing_capacity()
 
     @classmethod
     def from_circuits(
@@ -543,11 +552,6 @@ class _EventDrivenBatch:
                 f"{self._last_stream_arrival}"
             )
         self._last_stream_arrival = arrival
-        if circuit.num_qubits > self._stream_capacity:
-            raise ClusterSimulationError(
-                f"circuit {circuit.name} needs {circuit.num_qubits} qubits but "
-                f"the cloud only has {self._stream_capacity}"
-            )
         # The consumed-but-unfired record is part of the checkpointable
         # state: the cursor's file offset already points past it, so a
         # snapshot taken before the arrival event fires must carry it.
@@ -1424,7 +1428,6 @@ class _EventDrivenBatch:
             "index": cursor.index,
             "line_no": cursor.line_no,
             "previous": cursor.previous_arrival,
-            "first": cursor.first_arrival,
         }
 
     def _capture_state(self) -> Dict[str, Any]:
@@ -1707,18 +1710,17 @@ class _EventDrivenBatch:
             self.telemetry = telemetry
         self._pending_record = state["pending_record"]
         if state["cursor"] is not None:
-            trace = state["trace"]
-            reader = TraceReader(trace["path"], format=trace["format"])
-            cursor = reader.cursor()
+            cursor = TraceReader(state["trace"]["path"]).cursor()
             saved_cursor = state["cursor"]
             cursor.seek(
                 int(saved_cursor["offset"]),
                 index=int(saved_cursor["index"]),
                 line_no=saved_cursor["line_no"],
                 previous=saved_cursor["previous"],
-                first=saved_cursor["first"],
             )
-            self._arrivals = _record_arrivals(cursor)
+            self._arrivals = _record_arrivals(
+                cursor, self.simulator.template_cloud.total_computing_capacity()
+            )
             self._trace_cursor = cursor
         # The engine comes last: the resolver needs the restored jobs and
         # pending record to re-bind callbacks.
@@ -1985,7 +1987,6 @@ class MultiTenantSimulator:
         trace: Optional[
             Union[str, os.PathLike, TraceReader, Iterable[TraceRecord]]
         ] = None,
-        trace_format: Optional[str] = None,
         checkpoint: Optional[CheckpointConfig] = None,
     ) -> List[TenantJobResult]:
         """Incoming-job mode: circuits arriving over time (Sec. V-B).
@@ -2001,8 +2002,7 @@ class MultiTenantSimulator:
 
         ``trace=`` replays a *recorded trace* instead (mutually exclusive
         with ``circuits``/``arrival_times``/``tenants``): a path to an
-        on-disk trace (jsonl/CSV, see :mod:`repro.multitenant.trace`; format
-        inferred from the extension or forced with ``trace_format=``), a
+        on-disk jsonl trace (see :mod:`repro.multitenant.trace`), a
         :class:`~repro.multitenant.TraceReader`, a
         :class:`~repro.multitenant.ClusterTrace`, or any iterable of
         :class:`~repro.multitenant.TraceRecord`.  Records are consumed
@@ -2060,8 +2060,6 @@ class MultiTenantSimulator:
                     "owned file object cannot be re-opened on resume"
                 )
         if trace is None:
-            if trace_format is not None:
-                raise ValueError("trace_format= only applies with trace=")
             if circuits is None or arrival_times is None:
                 raise ValueError(
                     "run_stream requires circuits and explicit arrival times "
@@ -2093,18 +2091,17 @@ class MultiTenantSimulator:
         if isinstance(trace, (str, os.PathLike)):
             # A byte-addressable cursor, so a snapshot can record an exact
             # resume offset.
-            reader = TraceReader(trace, format=trace_format)
-            records = cursor = reader.cursor()
-            trace_info = {"path": os.fspath(trace), "format": reader.format}
-        elif trace_format is not None:
-            raise ValueError("trace_format= only applies when trace= is a path")
+            records = cursor = TraceReader(trace).cursor()
+            trace_info = {"path": os.fspath(trace)}
         else:
             # A ClusterTrace or any record iterable.
             iter_records = getattr(trace, "iter_records", None)
             records = iter_records() if callable(iter_records) else trace
         return _EventDrivenBatch(
             self,
-            _record_arrivals(records),
+            _record_arrivals(
+                records, self.template_cloud.total_computing_capacity()
+            ),
             seed,
             telemetry=telemetry,
             keep_results=keep_results,

@@ -129,18 +129,14 @@ class ClusterTrace:
                 arrival_time=arrival, circuit=circuit.name, tenant=tenant
             )
 
-    def to_file(
-        self,
-        destination: Union[str, os.PathLike],
-        format: Optional[str] = None,
-    ) -> int:
-        """Export as an on-disk recorded trace (jsonl/CSV); returns the count.
+    def to_file(self, path: Union[str, os.PathLike]) -> int:
+        """Export as an on-disk jsonl trace; returns the record count.
 
         The synthetic generators' output round-trips: writing a generated
         trace and replaying the file lazily is bit-identical to replaying
         the in-memory trace directly.
         """
-        return write_trace(destination, self.iter_records(), format=format)
+        return write_trace(path, self.iter_records())
 
 
 def generate_anchor_burst_trace(

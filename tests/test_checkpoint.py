@@ -249,9 +249,11 @@ class TestSnapshotIO:
     def test_version_three_snapshot_refused(self, tmp_path):
         # Version 3 snapshots carry the work-loss model in the fingerprint
         # and wasted-work fields in each job's progress ledger; version 4
-        # snapshots carry the telemetry's sampled queue-depth series.
+        # snapshots carry the telemetry's sampled queue-depth series;
+        # version 5 snapshots carry the trace's format and the cursor's
+        # first arrival.
         path = str(tmp_path / "snap.json")
-        for version in (3, 4):
+        for version in (3, 4, 5):
             with open(path, "w") as handle:
                 json.dump({"schema": CHECKPOINT_SCHEMA, "version": version}, handle)
             with pytest.raises(CheckpointMismatchError) as excinfo:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.circuits.library import (
+    CIRCUIT_FAMILIES,
     available_circuits,
     bernstein_vazirani,
     build,
@@ -12,6 +13,7 @@ from repro.circuits.library import (
     ghz,
     ising,
     multiplier,
+    parse_circuit_name,
     qft,
     quantum_knn,
     quantum_volume,
@@ -182,3 +184,22 @@ class TestRegistry:
             expected_qubits = int(name.rpartition("_n")[2])
             assert circuit.num_qubits == expected_qubits
             assert circuit.num_gates > 0
+
+    def test_parse_circuit_name(self):
+        assert parse_circuit_name("qft_n63") == ("qft", 63)
+        assert parse_circuit_name("swap_test_n115") == ("swap_test", 115)
+        assert parse_circuit_name("nope_n4") == ("nope", 4)
+        for name in ("nonsense", "_n4", "qft_nx"):
+            with pytest.raises(KeyError):
+                parse_circuit_name(name)
+
+    def test_every_family_builds_the_width_its_name_gives(self):
+        # Trace replay refuses a circuit wider than the cloud by its name
+        # alone, before building it.
+        for family in CIRCUIT_FAMILIES:
+            for num_qubits in range(1, 13):
+                try:
+                    circuit = build(family, num_qubits)
+                except ValueError:
+                    continue
+                assert circuit.num_qubits == num_qubits, (family, num_qubits)

@@ -108,8 +108,7 @@ class TestGraphViews:
         assert clone.topology is small_cloud.topology
 
     def test_snapshot_has_all_qpus(self, small_cloud):
-        snapshot = small_cloud.snapshot()
-        assert set(snapshot) == {0, 1, 2, 3}
+        assert set(small_cloud.qpus) == {0, 1, 2, 3}
 
 
 class TestPreviewWithout:

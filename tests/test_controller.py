@@ -9,12 +9,12 @@ class TestSubmission:
     def test_submit_registers_job(self, small_cloud, bell_circuit):
         controller = Controller(small_cloud)
         job = controller.submit(bell_circuit, arrival_time=5.0)
-        assert controller.job(job.job_id) is job
-        assert controller.pending_jobs() == [job]
+        assert controller.jobs == {job.job_id: job}
+        assert job.status is JobStatus.PENDING
 
     def test_unknown_job_lookup_returns_none(self, small_cloud):
         controller = Controller(small_cloud)
-        assert controller.job("missing") is None
+        assert controller.jobs.get("missing") is None
 
 
 class TestPlacementLifecycle:
@@ -24,7 +24,6 @@ class TestPlacementLifecycle:
         controller.place(job, {0: 0, 1: 1})
         assert job.status is JobStatus.PLACED
         assert small_cloud.qpu(0).computing_available == 3
-        assert controller.running_jobs() == [job]
 
     def test_place_unknown_job_raises(self, small_cloud, bell_circuit):
         controller = Controller(small_cloud)
@@ -55,7 +54,6 @@ class TestPlacementLifecycle:
         controller.complete(job, 9.0)
         assert job.status is JobStatus.COMPLETED
         assert small_cloud.total_computing_available() == 16
-        assert controller.completed_jobs() == [job]
 
 
 class TestDropTransition:
@@ -177,5 +175,6 @@ class TestMigrateTransition:
         controller = Controller(small_cloud)
         job = controller.submit(bell_circuit)
         controller.place(job, {0: 2, 1: 2})
-        status = controller.cloud_status()
-        assert status[2]["computing_used"] == 2
+        assert [qpu.computing_used for qpu in small_cloud.qpus.values()] == [
+            0, 0, 2, 0
+        ]

@@ -1,18 +1,21 @@
 """Malformed input ends in each reader's named error, never a deep traceback.
 
 Each case feeds one reader bytes it must refuse: non-UTF-8 text, JSON nested
-deeper than the parser recurses, a JSON value of the wrong shape, or a trace
-record naming a circuit the library cannot build.  ``TraceReader`` and
-``run_stream`` must raise :class:`TraceFormatError` with the record index and
-line, ``read_snapshot`` a :class:`CheckpointError` naming the snapshot, and
+deeper than the parser recurses, a JSON value of the wrong shape, an integer
+too large for a float (or too long to parse), or a trace record naming a
+circuit the library cannot build.  ``TraceReader`` and ``run_stream`` must
+raise :class:`TraceFormatError` with the record index and line,
+``read_snapshot`` a :class:`CheckpointError` naming the snapshot, and
 ``iter_events`` / ``Telemetry.from_events`` a ``ValueError`` naming the event
 line; ``Telemetry.from_events`` also names a missing or mistyped field it
-reads.  The torn-final-line tolerance of ``iter_events`` is pinned in
+reads.  A record naming a circuit wider than the cloud ends in the capacity
+:class:`ClusterSimulationError` before the circuit is built.  The torn-final-line tolerance of ``iter_events`` is pinned in
 ``tests/test_telemetry_recovery.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
@@ -20,6 +23,7 @@ import pytest
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.multitenant import (
     CheckpointError,
+    ClusterSimulationError,
     MultiTenantSimulator,
     Telemetry,
     TraceFormatError,
@@ -27,6 +31,7 @@ from repro.multitenant import (
     iter_events,
     read_snapshot,
 )
+from repro.multitenant import trace as trace_module
 from repro.placement import RandomPlacement
 from repro.scheduling import CloudQCScheduler
 
@@ -35,6 +40,8 @@ DEEP = "[" * 100_000
 #: Latin-1 "é": not a valid UTF-8 byte sequence.
 NOT_UTF8 = b"\xe9"
 EVENT = json.dumps({"event": "job_arrived", "t": 0.0, "job": "job-0"})
+#: An integer JSON parses but a float cannot hold.
+HUGE = 10**400
 #: Both event-stream readers, each given a path.
 EVENT_READERS = pytest.mark.parametrize(
     "read",
@@ -43,14 +50,10 @@ EVENT_READERS = pytest.mark.parametrize(
 )
 
 
-def write_trace(path, record_line: bytes, fmt: str = "jsonl") -> None:
+def write_trace(path, record_line: bytes) -> None:
     """A header, one valid record, then ``record_line`` as record #1."""
-    if fmt == "jsonl":
-        head = b'{"schema": "repro-trace", "version": 1}\n'
-        good = b'{"t": 0.0, "circuit": "ghz_n4"}\n'
-    else:
-        head = b"# repro-trace v1\narrival_time,circuit\n"
-        good = b"0.0,ghz_n4\n"
+    head = b'{"schema": "repro-trace", "version": 2}\n'
+    good = b'{"t": 0.0, "circuit": "ghz_n4"}\n'
     path.write_bytes(head + good + record_line + b"\n")
 
 
@@ -60,17 +63,24 @@ def simulator() -> MultiTenantSimulator:
 
 
 class TestTraceReader:
-    @pytest.mark.parametrize(
-        "fmt, line",
-        [
-            ("jsonl", b'{"t": 1.0, "circuit": "ghz_n4' + NOT_UTF8 + b'"}'),
-            ("csv", b"1.0,ghz_n4" + NOT_UTF8),
-        ],
-    )
-    def test_non_utf8_record(self, tmp_path, fmt, line):
-        path = tmp_path / f"trace.{fmt}"
-        write_trace(path, line, fmt)
-        with pytest.raises(TraceFormatError, match=r"record #1 \(line \d\).*UTF-8"):
+    def test_non_utf8_record(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, b'{"t": 1.0, "circuit": "ghz_n4' + NOT_UTF8 + b'"}')
+        with pytest.raises(TraceFormatError, match=r"record #1 \(line 3\).*UTF-8"):
+            list(TraceReader(path))
+
+    def test_arrival_too_large_for_a_float(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, json.dumps({"t": HUGE, "circuit": "ghz_n4"}).encode())
+        with pytest.raises(
+            TraceFormatError, match=r"record #1 \(line 3\): arrival time is not finite"
+        ):
+            list(TraceReader(path))
+
+    def test_integer_too_long_to_parse(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, b'{"t": ' + b"1" * 5000 + b', "circuit": "ghz_n4"}')
+        with pytest.raises(TraceFormatError, match=r"record #1 \(line 3\): invalid JSON"):
             list(TraceReader(path))
 
     def test_non_utf8_header(self, tmp_path):
@@ -108,12 +118,36 @@ class TestRunStream:
             simulator().run_stream(trace=path, seed=0)
 
     def test_unknown_circuit_in_reader_trace(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace(path, b"1.0,nope_n4", "csv")
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, b'{"t": 1.0, "circuit": "nope_n4"}')
         with pytest.raises(
             TraceFormatError, match=r"record #1: unknown circuit 'nope_n4'"
         ):
             simulator().run_stream(trace=TraceReader(path), seed=0)
+
+    def test_oversized_circuit_is_refused_before_it_is_built(
+        self, tmp_path, monkeypatch
+    ):
+        # The name gives the qubit count, so a record naming a circuit wider
+        # than the cloud never reaches the library (qft_n20000 would ask it
+        # for about 10^9 gates).
+        requested = []
+
+        def spy(name):
+            requested.append(name)
+            return trace_module.get_circuit(name)
+
+        monkeypatch.setattr(
+            trace_module, "cached_circuit", functools.lru_cache(maxsize=None)(spy)
+        )
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, b'{"t": 1.0, "circuit": "ghz_n31"}')
+        with pytest.raises(
+            ClusterSimulationError,
+            match="circuit ghz_n31 needs 31 qubits but the cloud only has 30",
+        ):
+            simulator().run_stream(trace=path, seed=0)
+        assert requested == ["ghz_n4"]
 
 
 class TestReadSnapshot:
@@ -180,6 +214,23 @@ class TestEventStream:
                 {"event": "rejected", "t": 1.0, "job": "job-0", "tenant": [7]},
                 "line 2: field 'tenant' of the 'rejected' event must be a string",
             ),
+            (
+                {"event": "admitted", "t": HUGE, "job": "job-0"},
+                "line 2: field 't' of the 'admitted' event must be a finite number",
+            ),
+            (
+                {
+                    "event": "completed",
+                    "t": 1.0,
+                    "job": "job-0",
+                    "jct": HUGE,
+                    "n_preempt": 0,
+                    "n_migrate": 0,
+                    "wasted_time": 0.0,
+                    "wasted_ops": 0,
+                },
+                "line 2: field 'jct' of the 'completed' event must be a finite number",
+            ),
         ],
         ids=[
             "completed-without-t",
@@ -189,6 +240,8 @@ class TestEventStream:
             "qpu_join-without-qpu",
             "placed-null-qpus",
             "rejected-list-tenant",
+            "admitted-huge-t",
+            "completed-huge-jct",
         ],
     )
     def test_event_field_the_replay_reads(self, line, message):

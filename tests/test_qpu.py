@@ -63,10 +63,7 @@ class TestValidation:
     def test_snapshot_contents(self):
         qpu = QPU(qpu_id=3, computing_capacity=6, communication_capacity=2)
         qpu.allocate_computing("job-a", 2)
-        snapshot = qpu.snapshot()
-        assert snapshot == {
-            "qpu_id": 3,
-            "computing_capacity": 6,
-            "computing_used": 2,
-            "communication_capacity": 2,
-        }
+        assert qpu.qpu_id == 3
+        assert qpu.computing_capacity == 6
+        assert qpu.computing_used == 2
+        assert qpu.communication_capacity == 2

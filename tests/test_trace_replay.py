@@ -5,7 +5,7 @@ The tentpole guarantee of the trace-ingestion layer: feeding
 exactly the results of the equivalent upfront ``run_stream(circuits,
 arrival_times)`` -- across all four network schedulers, in default and
 preemption-active (deadline-rescue) configurations, with and without a
-``Telemetry`` sink, from in-memory records and from on-disk jsonl/CSV files.
+``Telemetry`` sink, from in-memory records and from on-disk jsonl files.
 Also pins the ``run_stream``/``run_batch`` input-validation bugfix.
 """
 
@@ -34,7 +34,6 @@ from repro.multitenant import (
     fifo_batch_manager,
     generate_anchor_burst_trace,
     generate_cluster_trace,
-    trace_arrivals,
 )
 from repro.placement import CloudQCPlacement, RandomPlacement
 from repro.scheduling import (
@@ -177,11 +176,14 @@ class TestStreamingEquivalence:
     def test_replay_from_disk(self, suffix, tmp_path):
         from repro.multitenant import write_trace
 
+        # A path is read as jsonl whatever its suffix.
         path = tmp_path / f"golden.{suffix}"
         write_trace(path, golden_records())
         upfront = run_upfront(CloudQCScheduler)
         lazy = run_lazy(CloudQCScheduler, trace=str(path))
         assert [result_key(r) for r in upfront] == [result_key(r) for r in lazy]
+        via_reader = run_lazy(CloudQCScheduler, trace=TraceReader(path))
+        assert [result_key(r) for r in via_reader] == [result_key(r) for r in lazy]
 
     def test_replay_synthetic_cluster_trace(self):
         # A denser workload than the 4-job golden stream: 150 jobs with
@@ -196,30 +198,6 @@ class TestStreamingEquivalence:
         )
         simulator = make_simulator(CloudQCScheduler, **kwargs)
         lazy = simulator.run_stream(trace=trace, seed=11)
-        assert [result_key(r) for r in upfront] == [result_key(r) for r in lazy]
-
-    def test_rebasing_reader_matches_trace_arrivals(self, tmp_path):
-        from repro.multitenant import write_trace
-
-        # Raw epoch-style timestamps; both paths compress them 10x onto t=0.
-        raw = [1_700_000_000.0 + 40.0 * i for i in range(4)]
-        path = tmp_path / "raw.jsonl"
-        write_trace(
-            path,
-            [
-                TraceRecord(arrival_time=ts, circuit=name, tenant=tenant)
-                for ts, name, tenant in zip(raw, GOLDEN_CIRCUITS, GOLDEN_TENANTS)
-            ],
-        )
-        rebased = trace_arrivals(raw, start=0.0, time_scale=0.1)
-        simulator = make_simulator(CloudQCScheduler)
-        upfront = simulator.run_stream(
-            [ghz(24), ising(34), ghz(16), ghz(24)], rebased, seed=7
-        )
-        simulator = make_simulator(CloudQCScheduler)
-        lazy = simulator.run_stream(
-            trace=TraceReader(path, start=0.0, time_scale=0.1), seed=7
-        )
         assert [result_key(r) for r in upfront] == [result_key(r) for r in lazy]
 
     def test_event_counts_match(self):
@@ -267,13 +245,6 @@ class TestLazyValidation:
         simulator = make_simulator(CloudQCScheduler)
         with pytest.raises(ValueError, match="telemetry sink"):
             simulator.run_stream(trace=golden_records(), keep_results=False)
-
-    def test_trace_format_only_for_paths(self):
-        simulator = make_simulator(CloudQCScheduler)
-        with pytest.raises(ValueError, match="trace_format"):
-            simulator.run_stream(trace=golden_records(), trace_format="jsonl")
-        with pytest.raises(ValueError, match="trace_format"):
-            simulator.run_stream([ghz(4)], [0.0], trace_format="jsonl")
 
     def test_unsorted_records_raise_with_index(self):
         records = [
