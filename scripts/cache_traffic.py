@@ -15,6 +15,8 @@ Caches counted (a cache a checkout lacks is simply never looked up):
 * ``PlacementContext`` memos, one lookup per call as the context's own
   ``hits``/``misses`` count it (a nested memo call counts for itself only);
 * ``CloudTopology``: the path, path-link and distance tables;
+* ``EPRModel``: the pair-probability table ``sample_round`` reads (one
+  lookup per sample with a positive number of attempts);
 * ``CSRGraph``: the spread-seed and BFS-hop memos;
 * ``QuantumCloud``: the version-keyed resource graph and availability map;
 * ``QuantumCircuit.memo``, per key kind, and the circuit-library
@@ -30,7 +32,8 @@ placing five circuits on ``default_cloud(seed=7)``); no digest is recorded
 for them.
 
 Stdlib only in this process; each leg imports the simulator from the
-checkout's ``src/``.  Not a CI step.  Usage, from the repository root::
+checkout's ``src/``.  Exit status 1 when a leg fails or a perfbench digest
+differs from the golden file.  Usage, from the repository root::
 
     python3 scripts/cache_traffic.py
     python3 scripts/cache_traffic.py --root ../other-checkout
@@ -103,6 +106,7 @@ def _install(counts: _Counts) -> None:
     from repro.circuits import QuantumCircuit
     from repro.cloud import CloudTopology, QuantumCloud
     from repro.multitenant import cluster_sim
+    from repro.network import EPRModel
     from repro.partition import CSRGraph, kway
     from repro.placement import PlacementContext
     from repro.sim.front_layer import FrontLayer
@@ -149,6 +153,12 @@ def _install(counts: _Counts) -> None:
     _wrap(CloudTopology, "path_success_probability", path_links)
     _wrap(CloudTopology, "distance_table", lambda self: counts.lookup(
         "CloudTopology._distances", self._distances is not None))
+
+    def pair_table(self, qpu_a, qpu_b, parallel_attempts, rng):
+        if parallel_attempts > 0 and hasattr(self, "_pair_table"):
+            counts.lookup("EPRModel._pair_table", (qpu_a, qpu_b) in self._pair_table)
+
+    _wrap(EPRModel, "sample_round", pair_table)
 
     def hops(self, source):
         if hasattr(self, "_hops"):

@@ -17,6 +17,15 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 
+def _arrival_float(value) -> float:
+    """``float(value)``, reading an int too large for a float as infinite so
+    that the caller's finiteness check refuses it by index."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def poisson_arrivals(
     num_jobs: int,
     rate: float,
@@ -96,7 +105,7 @@ def trace_arrivals(
     """
     if not math.isfinite(time_scale) or time_scale <= 0:
         raise ValueError("time_scale must be positive and finite")
-    times = [float(timestamp) for timestamp in trace]
+    times = [_arrival_float(timestamp) for timestamp in trace]
     if not times:
         raise ValueError("trace is empty: nothing to replay")
     for index, timestamp in enumerate(times):

@@ -100,6 +100,7 @@ from ..sim import (
     run_epr_round,
 )
 from .admission import AdmissionPolicy, AdmitAll, JobOutcome
+from .arrivals import _arrival_float
 from .batch_manager import BatchManager, priority_batch_manager
 from .checkpoint import (
     CheckpointConfig,
@@ -311,7 +312,7 @@ class _EventDrivenBatch:
         "latency": "immutable LatencyModel owned by the simulator config; a resume rebuilds it from the run fingerprint",
         "round_tail": "derived from the latency model in __init__ and never mutated",
         "communication_capacity": "per-QPU communication qubits of the fleet members; _restore_cloud rebuilds it from the restored 'cloud' key",
-        "epr_model": "immutable EPR success model from the simulator config",
+        "epr_model": "EPR success model from the simulator config; its pair table is a cache of live path probabilities, emptied on restore by _restore_cloud",
         "controller": "its live state is the 'jobs' and 'cloud' snapshot keys; the controller object itself is rebuilt on restore",
         "loop": "captured as the 'engine' key via EventLoop.snapshot_state",
         "faults": "fleet-event schedule is regenerated from the seeded spec on restore; already-applied events are reflected in 'cloud'",
@@ -364,18 +365,20 @@ class _EventDrivenBatch:
         self._job_capture_cache: Dict[str, Dict[str, Any]] = {}
         self._captured_results: List[Dict[str, Any]] = []
         self.cloud = simulator.template_cloud.clone_empty()
-        self._refresh_communication_capacity()
-        self.latency = simulator.latency
-        self.round_tail = self.latency.two_qubit_gate + self.latency.measurement
-        self.rng = np.random.default_rng(seed)
-        # The per-QPU probability hook is live (calibration windows take
-        # effect on the next round); with no overrides set it resolves to
-        # the cloud-wide constant bit-for-bit.
+        # The per-QPU probability hook reads this cloud.  The model's pair
+        # table is emptied wherever an override or the fleet changes
+        # (calibration start and end, _refresh_fleet), so a calibration
+        # window takes effect on the next round.  With no overrides set the
+        # model resolves to the cloud-wide constant bit-for-bit.
         self.epr_model = EPRModel(
             self.cloud.topology,
             simulator.epr_success_probability,
             qpu_probability=self.cloud.qpu_epr_probability,
         )
+        self._refresh_fleet()
+        self.latency = simulator.latency
+        self.round_tail = self.latency.two_qubit_gate + self.latency.measurement
+        self.rng = np.random.default_rng(seed)
         self.controller = Controller(self.cloud)
         self.admission = simulator.admission_policy
         self.admission.reset()
@@ -534,7 +537,7 @@ class _EventDrivenBatch:
         raw_arrival, circuit, tenant, job_id = item
         index = self._stream_index
         self._stream_index += 1
-        arrival = float(raw_arrival)
+        arrival = _arrival_float(raw_arrival)
         if not math.isfinite(arrival):
             raise ValueError(
                 f"trace record #{index}: arrival time is not finite: "
@@ -1001,7 +1004,7 @@ class _EventDrivenBatch:
                 communication_capacity=communication,
             )
         )
-        self._refresh_communication_capacity()
+        self._refresh_fleet()
         if self.telemetry is not None:
             self.telemetry.qpu_joined(event.qpu_id, now)
         return True
@@ -1009,7 +1012,7 @@ class _EventDrivenBatch:
     def _remove_qpu(self, qpu_id: int) -> None:
         """Take an idle QPU out of the fleet, remembering its capacities."""
         qpu = self.cloud.remove_qpu(qpu_id)
-        self._refresh_communication_capacity()
+        self._refresh_fleet()
         self._departed_capacities[qpu_id] = (
             qpu.computing_capacity,
             qpu.communication_capacity,
@@ -1107,6 +1110,7 @@ class _EventDrivenBatch:
         self.cloud.set_qpu_epr_probability(
             event.qpu_id, event.epr_success_probability
         )
+        self.epr_model.clear_pair_table()
         self.loop.schedule_at(
             now + event.duration,
             self._calibration_end_callback(event.qpu_id),
@@ -1121,22 +1125,28 @@ class _EventDrivenBatch:
                 # A QPU that failed mid-window and rejoined came back with a
                 # fresh default; only a still-present member is restored.
                 self.cloud.set_qpu_epr_probability(qpu_id, restore)
+                self.epr_model.clear_pair_table()
             if self.telemetry is not None:
                 self.telemetry.calibration_ended(qpu_id, loop.now)
 
         return on_end
 
-    def _refresh_communication_capacity(self) -> None:
-        """Re-read the fleet members' communication qubits.
+    def _refresh_fleet(self) -> None:
+        """Re-read the fleet members' communication qubits and empty the
+        EPR model's pair table.
 
-        They change only when a QPU joins or leaves, or a snapshot is
+        Membership changes only when a QPU joins or leaves, or a snapshot is
         restored; each of those calls this, so rounds and activation checks
         read one dict instead of rebuilding it from the cloud every round.
+        A QPU's EPR override applies to its links only while it is a member,
+        and a restore brings back the snapshot's overrides, so each of those
+        changes can move a pair's path probability.
         """
         self.communication_capacity = {
             qpu_id: qpu.communication_capacity
             for qpu_id, qpu in self.cloud.qpus.items()
         }
+        self.epr_model.clear_pair_table()
 
     def _start_round(
         self, loop: EventLoop, runnable: Sequence[Tuple[str, FrontLayer]]
@@ -1621,7 +1631,7 @@ class _EventDrivenBatch:
         self.cloud._version_base = int(saved["version_base"])
         self.cloud._resource_graph_cache = None
         self.cloud._available_cache = None
-        self._refresh_communication_capacity()
+        self._refresh_fleet()
 
     def _restore_state(self, state: Dict[str, Any], telemetry) -> None:
         """Adopt a full snapshot into this freshly constructed batch."""
@@ -1947,7 +1957,7 @@ class MultiTenantSimulator:
         if arrival_times is None:
             arrival_times = [0.0] * len(circuits)
         else:
-            arrival_times = [float(time) for time in arrival_times]
+            arrival_times = [_arrival_float(time) for time in arrival_times]
         if len(arrival_times) != len(circuits):
             raise ValueError("arrival_times must match the number of circuits")
         for index, time in enumerate(arrival_times):

@@ -51,8 +51,13 @@ class _Scenario:
     """One workload, run uninterrupted and checkpointed, snapshots kept.
 
     Built lazily once per parameter set and cached for the module, so the
-    hypothesis examples only pay for the resume they exercise.
+    hypothesis examples only pay for the resume they exercise.  A subclass
+    can replay another workload by overriding ``_topology``, ``_records``,
+    ``_make_sim`` and ``every_jobs``.
     """
+
+    #: Checkpoint cadence of the checkpointed run, in finished jobs.
+    every_jobs = 4
 
     def __init__(self, tmp_dir, scheduler, chaos, keep_results=True):
         self.dir = tmp_dir
@@ -61,15 +66,8 @@ class _Scenario:
         self.keep_results = keep_results
         self.trace_path = os.path.join(tmp_dir, "trace.jsonl")
         self.events_path = os.path.join(tmp_dir, "events.jsonl") if chaos else None
-        self.topology = CloudTopology.random(
-            num_qpus=4, edge_probability=0.6, seed=2
-        )
-        write_trace(
-            self.trace_path,
-            generate_anchor_burst_trace(
-                3, 5, num_qpus=4, anchor="ghz_n24", filler="ghz_n5"
-            ).iter_records(),
-        )
+        self.topology = self._topology()
+        write_trace(self.trace_path, self._records())
 
         baseline_events = os.path.join(tmp_dir, "events_base.jsonl")
         self.baseline = self._run(events_path=baseline_events)
@@ -88,7 +86,9 @@ class _Scenario:
         cluster_sim.write_snapshot = keep_copy
         try:
             self.checkpointed = self._run(
-                checkpoint=CheckpointConfig(path=snap_path, every_jobs=4),
+                checkpoint=CheckpointConfig(
+                    path=snap_path, every_jobs=self.every_jobs
+                ),
                 events_path=self.events_path,
             )
         finally:
@@ -98,6 +98,16 @@ class _Scenario:
                 self.full_events = handle.read()
             with open(baseline_events, "rb") as handle:
                 assert self.full_events == handle.read()
+
+    @staticmethod
+    def _topology():
+        return CloudTopology.random(num_qpus=4, edge_probability=0.6, seed=2)
+
+    @staticmethod
+    def _records():
+        return generate_anchor_burst_trace(
+            3, 5, num_qpus=4, anchor="ghz_n24", filler="ghz_n5"
+        ).iter_records()
 
     def _make_sim(self):
         cloud = QuantumCloud(self.topology, computing_qubits_per_qpu=10)

@@ -15,10 +15,11 @@ Hypothesis drives both sides over several consecutive rounds of multi-job
 front layers (random remote DAGs and mappings, duplicate placements under
 different job ids, line and grid topologies, communication capacities of
 0-4, an off-fleet QPU, per-QPU EPR overrides and one link with its own
-probability, some of which change between rounds), applying the successes
-after every round.  Each round must produce the same allocation, the same
-successes in the same order and the same RNG state, for every registered
-scheduler.
+probability, some of which change between rounds; the kernel side then
+empties its model's pair table, as the cluster simulator does), applying the
+successes after every round.  Each round must produce the same allocation,
+the same successes in the same order and the same RNG state, for every
+registered scheduler.
 """
 
 from __future__ import annotations
@@ -309,7 +310,9 @@ def test_kernel_matches_inline_round(
                 by_job[job_id].finish(node_id, float(round_index))
         assert [f.ready for _, f in fronts] == [f.ready for _, f in ref_fronts]
         # Calibration windows open and close between rounds: the next round
-        # must see the new per-QPU probabilities and link attribute.
+        # must see the new per-QPU probabilities and link attribute.  The
+        # kernel side empties the model's pair table as the simulator does
+        # when an override changes; the reference resolves every path live.
         for qpu_id, probability in changes[round_index::rounds]:
             if qpu_id in cloud.qpus:
                 cloud.set_qpu_epr_probability(qpu_id, probability)
@@ -319,6 +322,7 @@ def test_kernel_matches_inline_round(
                 cloud.topology.graph.edges[link]["epr_success_probability"] = (
                     probability
                 )
+            model.clear_pair_table()
 
 
 def test_request_table_is_per_job():

@@ -9,7 +9,10 @@ raise :class:`TraceFormatError` with the record index and line,
 ``iter_events`` / ``Telemetry.from_events`` a ``ValueError`` naming the event
 line; ``Telemetry.from_events`` also names a missing or mistyped field it
 reads.  A record naming a circuit wider than the cloud ends in the capacity
-:class:`ClusterSimulationError` before the circuit is built.  The torn-final-line tolerance of ``iter_events`` is pinned in
+:class:`ClusterSimulationError` before the circuit is built.  An arrival
+too large for a float in an in-memory arrival list, record list or
+``trace_arrivals`` input ends in the "not finite" ``ValueError`` naming its
+index.  The torn-final-line tolerance of ``iter_events`` is pinned in
 ``tests/test_telemetry_recovery.py``.
 """
 
@@ -20,6 +23,7 @@ import json
 
 import pytest
 
+from repro.circuits.library import get_circuit
 from repro.cloud import CloudTopology, QuantumCloud
 from repro.multitenant import (
     CheckpointError,
@@ -28,8 +32,10 @@ from repro.multitenant import (
     Telemetry,
     TraceFormatError,
     TraceReader,
+    TraceRecord,
     iter_events,
     read_snapshot,
+    trace_arrivals,
 )
 from repro.multitenant import trace as trace_module
 from repro.placement import RandomPlacement
@@ -116,6 +122,23 @@ class TestRunStream:
             TraceFormatError, match=r"record #1 \(line 3\): unknown circuit 'nope_n4'"
         ):
             simulator().run_stream(trace=path, seed=0)
+
+    def test_arrival_too_large_for_a_float_in_a_list(self):
+        with pytest.raises(ValueError, match=r"arrival time #1 is not finite"):
+            simulator().run_stream(
+                [get_circuit("ghz_n4")] * 2, [0.0, HUGE], seed=0
+            )
+
+    def test_arrival_too_large_for_a_float_in_records(self):
+        records = [TraceRecord(0.0, "ghz_n4"), TraceRecord(HUGE, "ghz_n4")]
+        with pytest.raises(
+            ValueError, match=r"trace record #1: arrival time is not finite"
+        ):
+            simulator().run_stream(trace=records, seed=0)
+
+    def test_arrival_too_large_for_a_float_in_trace_arrivals(self):
+        with pytest.raises(ValueError, match=r"timestamp #1 is not finite"):
+            trace_arrivals([0.0, HUGE])
 
     def test_unknown_circuit_in_reader_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cloud import CloudTopology
+from repro.cloud import CloudTopology, QuantumCloud
 from repro.network import EPRModel
 
 
@@ -50,6 +50,20 @@ class TestEprModel:
         model = EPRModel(line_topology, 0.9)
         rng = np.random.default_rng(1)
         assert not model.sample_round(0, 1, 0, rng)
+
+    def test_sample_round_reads_its_table_until_emptied(self, line_topology):
+        # sample_round keeps a pair's probability from its first sample, so a
+        # changed override applies to it only after clear_pair_table;
+        # round_success_probability resolves the path live.
+        cloud = QuantumCloud(line_topology)
+        model = EPRModel(line_topology, 1.0, qpu_probability=cloud.qpu_epr_probability)
+        rng = np.random.default_rng(1)
+        assert model.sample_round(0, 1, 1, rng)
+        cloud.set_qpu_epr_probability(1, 1e-12)
+        assert model.round_success_probability(0, 1, 1) == pytest.approx(1e-12)
+        assert all(model.sample_round(0, 1, 1, rng) for _ in range(100))
+        model.clear_pair_table()
+        assert not any(model.sample_round(0, 1, 1, rng) for _ in range(100))
 
     def test_invalid_probability(self, line_topology):
         with pytest.raises(ValueError):
