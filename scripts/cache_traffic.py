@@ -13,7 +13,9 @@ no result.  The script then prints one row per cache and one
 Caches counted (a cache a checkout lacks is simply never looked up):
 
 * ``PlacementContext`` memos, one lookup per call as the context's own
-  ``hits``/``misses`` count it (a nested memo call counts for itself only);
+  ``hits``/``misses`` count it (a nested memo call counts for itself only),
+  among them the whole-attempt memo ``_attempts`` that CloudQC and
+  CloudQC-BFS consult when given a context (its misses run the other memos);
 * ``CloudTopology``: the path, path-link and distance tables;
 * ``EPRModel``: the pair-probability table ``sample_round`` reads (one
   lookup per sample with a positive number of attempts);
@@ -68,6 +70,7 @@ CONTEXT_MEMOS = {
     "community_qpu_set": "_qpu_sets",
     "bfs_qpu_set": "_qpu_sets",
     "topology_center": "_topology_centers",
+    "_attempt": "_attempts",
 }
 
 

@@ -9,6 +9,7 @@ and exposes the weighted QPU graph that community detection runs on.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import networkx as nx
@@ -52,7 +53,7 @@ class QuantumCloud:
         # lazily whenever ``resource_version`` moves (see docs/architecture.md,
         # "Placement fast path").
         self._resource_graph_cache: Optional[Tuple[int, nx.Graph]] = None
-        self._available_cache: Optional[Tuple[int, Dict[int, int]]] = None
+        self._available_cache: Optional[Tuple[int, Mapping[int, int]]] = None
         # Membership epoch: bumped so resource_version stays strictly
         # increasing across fleet changes (see ``resource_version``).
         self._version_base: int = 0
@@ -124,16 +125,23 @@ class QuantumCloud:
             q.computing_version for q in self.qpus.values()
         )
 
-    def available_computing(self) -> Dict[int, int]:
+    def available_computing(self) -> Mapping[int, int]:
+        """Free computing qubits per member QPU, as a read-only view.
+
+        The map is built once per :attr:`resource_version` and the same view
+        is returned until the version moves; a caller that draws it down
+        while planning copies it first (``map_partitions_to_qpus`` does).
+        """
         version = self.resource_version
-        if self._available_cache is None or self._available_cache[0] != version:
-            self._available_cache = (
+        cached = self._available_cache
+        if cached is None or cached[0] != version:
+            cached = self._available_cache = (
                 version,
-                {qpu_id: q.computing_available for qpu_id, q in self.qpus.items()},
+                MappingProxyType(
+                    {qpu_id: q.computing_available for qpu_id, q in self.qpus.items()}
+                ),
             )
-        # Callers mutate the result while planning (e.g. RandomPlacement), so
-        # hand out a copy and keep the canonical per-version dict private.
-        return dict(self._available_cache[1])
+        return cached[1]
 
     def min_available_computing(self) -> int:
         """Smallest per-QPU availability: Algorithm 1's single-QPU fast path test."""

@@ -92,11 +92,36 @@ def _state_checksum(serialized_state: str) -> str:
     return f"sha256:{digest}"
 
 
+#: ``json.dumps(value, separators=(",", ":"))`` without building an encoder
+#: per call: the compact encoding of every snapshot state.
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class _JSONText(str):
+    """Compact json text of one state value, spliced verbatim into a snapshot.
+
+    The simulator encodes each finished job and each recorded result once
+    and hands a state list over as the join of those texts, so a snapshot
+    does not re-encode them; the snapshot bytes equal those of encoding the
+    decoded value.
+    """
+
+
+def _encode_state(state: Dict[str, Any]) -> str:
+    """The compact encoding of ``state``, splicing ``_JSONText`` values."""
+    return "{%s}" % ",".join(
+        _encode_compact(key)
+        + ":"
+        + (value if isinstance(value, _JSONText) else _encode_compact(value))
+        for key, value in state.items()
+    )
+
+
 def write_snapshot(
     path: str, fingerprint: Dict[str, Any], state: Dict[str, Any]
 ) -> int:
     """Atomically write a snapshot; returns the file size in bytes."""
-    serialized_state = json.dumps(state, separators=(",", ":"))
+    serialized_state = _encode_state(state)
     envelope = (
         '{"schema":%s,"version":%d,"checksum":%s,"fingerprint":%s,"state":%s}'
         % (

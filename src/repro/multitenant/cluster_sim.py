@@ -105,6 +105,8 @@ from .batch_manager import BatchManager, priority_batch_manager
 from .checkpoint import (
     CheckpointConfig,
     CheckpointError,
+    _encode_compact,
+    _JSONText,
     check_fingerprint,
     read_snapshot,
     write_snapshot,
@@ -317,7 +319,7 @@ class _EventDrivenBatch:
         "loop": "captured as the 'engine' key via EventLoop.snapshot_state",
         "faults": "fleet-event schedule is regenerated from the seeded spec on restore; already-applied events are reflected in 'cloud'",
         "incremental": "derived flag recomputed from the placement strategy in __init__",
-        "placement_context": "memo of interaction graphs (CSR form), partitions, quotients, detected communities, community/BFS QPU sets and topology centers, each a pure function of its key; a cold context after restore recomputes bit-identical placements",
+        "placement_context": "memo of interaction graphs (CSR form), partitions, quotients, detected communities, community/BFS QPU sets, topology centers and whole CloudQC attempts keyed by the availability state, each a pure function of its key; a cold context after restore recomputes bit-identical placements",
         "min_pending_qubits": "pruning hint derived from the pending queue; _restore_state recomputes it from the restored 'pending' key",
         "preemption_enabled": "derived from the preemption policy type in __init__",
         "expiry_handles": "event-loop handles; _restore_state re-binds them from the restored 'engine' events labelled expire:<job id>",
@@ -326,8 +328,8 @@ class _EventDrivenBatch:
         "_arrivals": "live arrival iterator; a resumed run re-opens the trace and seeks via the 'cursor' key",
         "_trace_cursor": "captured as the 'cursor' key via TraceCursor checkpointing",
         "_signal_flag": "transient kill-signal latch; a snapshot is always taken with the flag clear",
-        "_job_capture_cache": "memo for _capture_job keyed by object identity; identity does not survive a restore",
-        "_captured_results": "memo of already-serialized results; rebuilt lazily after restore",
+        "_job_capture_cache": "json text of each COMPLETED job, keyed by job id; the same text is the 'jobs' entry it encodes, and a restored run re-encodes its jobs lazily",
+        "_captured_results": "json text of each recorded result, in order; the same text is the 'results' entry it encodes, and a restored run re-encodes its results lazily",
     }
 
     def __init__(
@@ -359,11 +361,12 @@ class _EventDrivenBatch:
         self._results_recorded = 0
         self._signal_flag: Optional[int] = None
         # Capture caches: a COMPLETED job and a recorded result are frozen,
-        # so repeated snapshots reuse their captured form instead of
-        # re-serializing every finished job (on a long keep_results=True
-        # run each snapshot would otherwise cost O(finished jobs)).
-        self._job_capture_cache: Dict[str, Dict[str, Any]] = {}
-        self._captured_results: List[Dict[str, Any]] = []
+        # so each is encoded to compact json text once and every later
+        # snapshot splices that text in instead of re-encoding every
+        # finished job (on a long keep_results=True run each snapshot would
+        # otherwise cost O(finished jobs) in json.dumps).
+        self._job_capture_cache: Dict[str, str] = {}
+        self._captured_results: List[str] = []
         self.cloud = simulator.template_cloud.clone_empty()
         # The per-QPU probability hook reads this cloud.  The model's pair
         # table is emptied wherever an override or the fleet changes
@@ -1334,36 +1337,36 @@ class _EventDrivenBatch:
             "last_migrated_time": job.last_migrated_time,
         }
 
-    def _capture_jobs(self) -> List[Dict[str, Any]]:
-        """Capture the controller's job table, reusing frozen captures.
+    def _capture_jobs(self) -> _JSONText:
+        """Capture the controller's job table as json, reusing frozen text.
 
         A COMPLETED job never mutates again (nothing un-completes), so its
-        captured form is cached; FAILED is *not* terminal here (a fleet
-        failure may requeue the same Job object back to PENDING), and live
-        jobs mutate freely, so both are re-captured every snapshot.
+        encoded form is cached; FAILED is *not* cached (the controller
+        accepts a FAILED job for a new placement), and live jobs mutate
+        freely, so both are re-encoded every snapshot.
         """
         cache = self._job_capture_cache
-        captured = []
+        encoded = []
         for job in self.controller.jobs.values():
-            entry = cache.get(job.job_id)
-            if entry is None:
-                entry = self._capture_job(job)
+            text = cache.get(job.job_id)
+            if text is None:
+                text = _encode_compact(self._capture_job(job))
                 if job.status is JobStatus.COMPLETED:
-                    cache[job.job_id] = entry
-            captured.append(entry)
-        return captured
+                    cache[job.job_id] = text
+            encoded.append(text)
+        return _JSONText("[%s]" % ",".join(encoded))
 
-    def _capture_results(self) -> List[Dict[str, Any]]:
-        """Capture the retained result list, serializing only the tail.
+    def _capture_results(self) -> _JSONText:
+        """Capture the retained result list as json, encoding only the tail.
 
         ``self.results`` is append-only and result objects are immutable
-        once recorded, so each snapshot extends the cached capture with the
+        once recorded, so each snapshot extends the cached texts with the
         results recorded since the previous one.
         """
         captured = self._captured_results
         for result in self.results[len(captured):]:
-            captured.append(self._capture_result(result))
-        return list(captured)
+            captured.append(_encode_compact(self._capture_result(result)))
+        return _JSONText("[%s]" % ",".join(captured))
 
     @staticmethod
     def _capture_active(state: _ActiveJob) -> Dict[str, Any]:
@@ -1443,12 +1446,15 @@ class _EventDrivenBatch:
     def _capture_state(self) -> Dict[str, Any]:
         """Everything :meth:`_restore_state` needs, as plain json values.
 
-        Dicts with non-string keys are stored as ``[[key, value], ...]``
-        pair lists (json would coerce the keys to strings); iteration
-        orders are preserved so every restored dict iterates exactly like
-        the original.  The :class:`~repro.placement.PlacementContext` is
-        deliberately *not* captured: its caches are exact, so a cold
-        recompute yields bit-identical placements.
+        The job table and the result list are their json text
+        (:meth:`_capture_jobs`, :meth:`_capture_results`), which
+        ``write_snapshot`` splices in as it is.  Dicts with non-string keys
+        are stored as ``[[key, value], ...]`` pair lists (json would coerce
+        the keys to strings); iteration orders are preserved so every
+        restored dict iterates exactly like the original.  The
+        :class:`~repro.placement.PlacementContext` is deliberately *not*
+        captured: its caches are exact, so a cold recompute yields
+        bit-identical placements.
         """
         checkpoint = self._checkpoint
         return {

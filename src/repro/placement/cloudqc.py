@@ -83,15 +83,31 @@ class CloudQCPlacement(PlacementAlgorithm):
         """Run Algorithm 1 over the (imbalance, num_parts) candidate grid.
 
         ``context`` memoizes the attempt's inputs (interaction graph,
-        partitions, communities, QPU sets); passing one shared context across
-        calls makes repeated attempts incremental.  ``seed`` is accepted for
-        the :class:`PlacementAlgorithm` interface and unused: placements are
+        partitions, communities, QPU sets) and whole attempts, keyed by the
+        cloud's availability state; passing one shared context across calls
+        makes repeated attempts incremental.  ``seed`` is accepted for the
+        :class:`PlacementAlgorithm` interface and unused: placements are
         identical for every seed, with or without a context.
         """
         if context is None:
             # An attempt-local context still dedupes work across the candidate
             # grid (one interaction graph build, one community detection).
-            context = PlacementContext()
+            return self._place(circuit, cloud, PlacementContext())
+        placer = (
+            type(self),
+            self.imbalance_factors,
+            self.alpha,
+            self.beta,
+            self.max_extra_parts,
+        )
+        return context._attempt(
+            placer, circuit, cloud, lambda: self._place(circuit, cloud, context)
+        )
+
+    def _place(
+        self, circuit: QuantumCircuit, cloud: QuantumCloud, context: PlacementContext
+    ) -> Placement:
+        """One uncached attempt of Algorithm 1."""
         size = circuit.num_qubits
         if cloud.total_computing_available() < size:
             raise MappingError(

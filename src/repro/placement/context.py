@@ -1,4 +1,4 @@
-"""Version-keyed memoization for repeated CloudQC placement attempts.
+"""Version- and state-keyed memoization for repeated CloudQC placement attempts.
 
 On a busy cloud the streaming simulator re-runs placement for the same pending
 job many times, and every ``CloudQCPlacement.place`` call explores a grid of
@@ -11,7 +11,7 @@ only change when a job is admitted or released.
 Every partition and every community detection runs with one seed,
 :data:`PLACEMENT_SEED`, so each artifact is a pure function of its inputs
 (as METIS, the paper's partitioner, returns one partition per input).
-:class:`PlacementContext` memoizes both sides:
+:class:`PlacementContext` memoizes three layers:
 
 * **circuit identity** keys the CSR form of the interaction graph, the
   only form the partitioner and the quotients read, and
@@ -26,24 +26,37 @@ Every partition and every community detection runs with one seed,
   identical availability map, so the cached result is exactly what a fresh
   computation would produce.  Any ``admit``/``release`` bumps the version and
   naturally invalidates every cloud-side entry.
+* **availability state** keys whole CloudQC / CloudQC-BFS attempts: the
+  placer's type and parameters, the circuit, the cloud, and each member
+  QPU's ``(id, free computing qubits, computing capacity)`` in
+  ``cloud.qpus`` order.  The state fixes everything an attempt reads (the
+  resource graph, its communities, Algorithm 2's pools, Eq. 1 and the time
+  estimate); the cloud fixes the topology and the cloud-wide EPR
+  probability.  A version cannot key this layer: it never repeats, so when
+  jobs leave and the availability map returns to a state it has been in
+  before, the version is new and a version-keyed entry would miss.  Each
+  attempt entry holds the winning placement or the ``MappingError`` message.
 
 Warm-cache placements are therefore bit-identical to cold-cache placements
 -- regression tests pin this.
 
-Cached objects are returned without copying on the hot path; callers must
-treat cached graphs/assignments as read-only (the placement pipeline does).
+Cached graphs and assignments are returned without copying on the hot path;
+callers must treat them as read-only (the placement pipeline does).  A
+cached attempt is the exception: the simulator keeps the placements it
+admits, so every attempt returns a fresh :class:`~repro.placement.Placement`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from ..circuits import InteractionGraph, QuantumCircuit, quotient_adjacency
 from ..cloud import QuantumCloud
 from ..community import graph_center, louvain_communities, select_qpu_community
 from ..partition import CSRGraph, partition_graph
-from .mapping import QuotientAdjacency, mapping_order
+from .base import Placement
+from .mapping import MappingError, QuotientAdjacency, mapping_order
 
 #: The seed of every ``partition_graph`` and Louvain run.  Fixed before any
 #: measurement; never tune it to a workload.
@@ -58,11 +71,11 @@ class PlacementContext:
     and clouds it has seen so the identity-based keys stay valid.
     """
 
-    #: Per-cache entry bound.  A long streaming run sees ever more circuits
-    #: and resource versions (every admit or release makes one), so the
-    #: caches would otherwise grow without bound; when a cache fills up, its
-    #: oldest half is dropped (insertion order).  Pruning only ever costs
-    #: recomputation -- results are unaffected.
+    #: Per-cache entry bound.  A long streaming run sees ever more circuits,
+    #: resource versions (every admit or release makes one) and availability
+    #: states, so the caches would otherwise grow without bound; when a cache
+    #: fills up, its oldest half is dropped (insertion order).  Pruning only
+    #: ever costs recomputation -- results are unaffected.
     max_entries: int = 4096
 
     def __init__(self) -> None:
@@ -80,6 +93,9 @@ class PlacementContext:
         self._qpu_sets: Dict[Tuple[Any, ...], Tuple[int, ...]] = {}
         # Topology-keyed cache (the topology never mutates, so no version).
         self._topology_centers: Dict[Tuple[int, frozenset], int] = {}
+        # Whole attempts, keyed by (placer, circuit, cloud, availability
+        # state): the winning placement or the MappingError message.
+        self._attempts: Dict[Tuple[Any, ...], Union[Placement, str]] = {}
         # Hit/miss accounting for the hot-path benchmark report.
         self.hits = 0
         self.misses = 0
@@ -104,6 +120,7 @@ class PlacementContext:
             "partitions": len(self._partitions),
             "communities": len(self._communities),
             "qpu_sets": len(self._qpu_sets),
+            "attempts": len(self._attempts),
         }
 
     def _store(self, cache: Dict, key: Any, value: Any) -> None:
@@ -316,3 +333,49 @@ class PlacementContext:
         selection = bfs_qpu_set(cloud, required_qubits, min_qpus=min_qpus)
         self._store(self._qpu_sets, key, tuple(selection))
         return selection
+
+    # ------------------------------------------------------------------
+    # Whole-attempt memoization (keyed by the availability state)
+    # ------------------------------------------------------------------
+    def _attempt(
+        self,
+        placer: Hashable,
+        circuit: QuantumCircuit,
+        cloud: QuantumCloud,
+        run: Callable[[], Placement],
+    ) -> Placement:
+        """One placement attempt, memoized by the cloud's availability state.
+
+        ``placer`` is the placer's type and parameters and ``run`` computes
+        the attempt on a miss.  The key adds the circuit, the cloud and each
+        member QPU's ``(id, free computing qubits, computing capacity)`` in
+        ``cloud.qpus`` order, so a state that recurs at a new
+        ``resource_version`` hits.  A cached failure raises a new
+        ``MappingError`` with the recorded message; a cached placement is
+        returned as a fresh :class:`Placement` (same mapping insertion
+        order, copied metadata), so callers may keep and mutate it.
+        """
+        state = tuple(
+            (qpu_id, qpu.computing_available, qpu.computing_capacity)
+            for qpu_id, qpu in cloud.qpus.items()
+        )
+        key = (placer, self._circuit_key(circuit), self._cloud_key(cloud), state)
+        outcome = self._attempts.get(key)
+        if outcome is None:
+            self.misses += 1
+            try:
+                outcome = run()
+            except MappingError as exc:
+                outcome = str(exc)
+            self._store(self._attempts, key, outcome)
+        else:
+            self.hits += 1
+        if isinstance(outcome, str):
+            raise MappingError(outcome)
+        return Placement(
+            circuit=outcome.circuit,
+            mapping=dict(outcome.mapping),
+            algorithm=outcome.algorithm,
+            score=outcome.score,
+            metadata=dict(outcome.metadata),
+        )

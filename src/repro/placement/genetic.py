@@ -8,7 +8,7 @@ is the inverse of the communication cost (Eq. 1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -130,7 +130,7 @@ class GeneticPlacement(PlacementAlgorithm):
     @staticmethod
     def _repair(
         individual: Dict[int, int],
-        capacity: Dict[int, int],
+        capacity: Mapping[int, int],
         adjacency: Dict[int, Dict[int, int]],
         cloud: QuantumCloud,
     ) -> None:

@@ -142,9 +142,9 @@ def map_partitions_to_qpus(
     if not candidates:
         candidates = qpu_ids
 
-    # A copy of the map the cloud caches per resource version; the loop
-    # below draws it down as it maps parts.
-    available = cloud.available_computing()
+    # A copy of the read-only map the cloud caches per resource version;
+    # the loop below draws it down as it maps parts.
+    available = dict(cloud.available_computing())
 
     if context is not None:
         community_center = context.topology_center(cloud, candidates)

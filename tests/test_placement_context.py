@@ -81,7 +81,8 @@ class TestCloudCaches:
 
     def test_available_computing_cached_copy_is_safe(self, cloud):
         first = cloud.available_computing()
-        first[0] = -999  # mutating the returned dict must not poison the cache
+        with pytest.raises(TypeError):
+            first[0] = -999  # the view is read-only: no write reaches the cache
         assert cloud.available_computing()[0] == 10
         cloud.admit("job-a", {0: 2})
         assert cloud.available_computing()[2] == 9
