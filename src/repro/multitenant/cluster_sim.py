@@ -330,6 +330,7 @@ class _EventDrivenBatch:
         "_signal_flag": "transient kill-signal latch; a snapshot is always taken with the flag clear",
         "_job_capture_cache": "json text of each COMPLETED job, keyed by job id; the same text is the 'jobs' entry it encodes, and a restored run re-encodes its jobs lazily",
         "_captured_results": "json text of each recorded result, in order; the same text is the 'results' entry it encodes, and a restored run re-encodes its results lazily",
+        "_calibration_open": "open calibration windows per QPU, one pending event labelled calibration-end:<qpu id> each; _restore_state recounts them from the restored 'engine' events",
     }
 
     def __init__(
@@ -421,6 +422,7 @@ class _EventDrivenBatch:
         self.faults: Optional[FaultInjector] = simulator.fault_injector
         self._departed_capacities: Dict[int, Tuple[int, int]] = {}
         self._calibration_restore: Dict[int, Optional[float]] = {}
+        self._calibration_open: Dict[int, int] = {}
         self._stream_exhausted = False
         if self.faults is not None and not restoring:
             # The schedule index in the label lets a checkpoint restore
@@ -1105,10 +1107,14 @@ class _EventDrivenBatch:
             self.telemetry.calibration_started(
                 event.qpu_id, now, event.epr_success_probability
             )
-        # Overlapping windows on one QPU keep the oldest saved value; both
-        # ends restore it (the second restore is a harmless no-op).
+        # Overlapping windows on one QPU keep the oldest saved value and
+        # count the open windows: the latest-started window's value holds
+        # until the last open window ends, which restores the saved value.
         self._calibration_restore.setdefault(
             event.qpu_id, self.cloud.qpu_epr_probability(event.qpu_id)
+        )
+        self._calibration_open[event.qpu_id] = (
+            self._calibration_open.get(event.qpu_id, 0) + 1
         )
         self.cloud.set_qpu_epr_probability(
             event.qpu_id, event.epr_success_probability
@@ -1123,12 +1129,17 @@ class _EventDrivenBatch:
 
     def _calibration_end_callback(self, qpu_id: int):
         def on_end(loop: EventLoop) -> None:
-            restore = self._calibration_restore.pop(qpu_id, None)
-            if qpu_id in self.cloud.qpus:
-                # A QPU that failed mid-window and rejoined came back with a
-                # fresh default; only a still-present member is restored.
-                self.cloud.set_qpu_epr_probability(qpu_id, restore)
-                self.epr_model.clear_pair_table()
+            still_open = self._calibration_open.pop(qpu_id) - 1
+            if still_open:
+                self._calibration_open[qpu_id] = still_open
+            else:
+                restore = self._calibration_restore.pop(qpu_id, None)
+                if qpu_id in self.cloud.qpus:
+                    # A QPU that failed mid-window and rejoined came back
+                    # with a fresh default; only a still-present member is
+                    # restored.
+                    self.cloud.set_qpu_epr_probability(qpu_id, restore)
+                    self.epr_model.clear_pair_table()
             if self.telemetry is not None:
                 self.telemetry.calibration_ended(qpu_id, loop.now)
 
@@ -1745,6 +1756,7 @@ class _EventDrivenBatch:
         )
         self.expiry_handles = {}
         self.tick_handle = None
+        self._calibration_open = {}
         for (_, _, _, label), handle in zip(
             state["engine"]["events"], handles
         ):
@@ -1752,6 +1764,11 @@ class _EventDrivenBatch:
                 self.tick_handle = handle
             elif label.startswith("expire:"):
                 self.expiry_handles[label[len("expire:"):]] = handle
+            elif label.startswith("calibration-end:"):
+                qpu_id = int(label[len("calibration-end:"):])
+                self._calibration_open[qpu_id] = (
+                    self._calibration_open.get(qpu_id, 0) + 1
+                )
 
     # ------------------------------------------------------------------
     # Driver

@@ -78,7 +78,9 @@ class QPUDrain(FleetEvent):
 class CalibrationWindow(FleetEvent):
     """The QPU recalibrates for ``duration``: its per-QPU EPR success
     probability drops to ``epr_success_probability``, degrading every link
-    it serves, and is restored when the window closes."""
+    it serves, and is restored when the window closes.  While windows on
+    one QPU overlap, the latest-started window's value holds until the last
+    of them closes."""
 
     duration: float = 0.0
     epr_success_probability: float = 0.05

@@ -32,7 +32,8 @@ the per-job results bit-identical (pinned by A/B tests).  Memory is
 O(sketch + #tenants + #QPUs), independent of the number of jobs and
 events.
 
-Event schema (one JSON object per line; field order not significant)::
+Event schema (one JSON object per line, keys in the order below, a field
+whose value is ``None`` left out)::
 
     event        one of job_arrived / admitted / rejected / placed /
                  preempted / requeued / migrated / completed / expired /
@@ -68,6 +69,14 @@ QPU failure under a fault injector's ``on_failure="drop"`` mode (see
 :mod:`repro.multitenant.faults`).  Fleet events carry a ``qpu`` id and no
 ``job`` field; the sink folds them into per-QPU downtime / availability
 and interrupted-job counters (:meth:`Telemetry.qpu_availability`).
+
+``Telemetry._emit`` writes each line straight from the event's keys and
+values, with no per-event dict, in one write and one flush: finite floats
+through ``float.__repr__``, ints through ``int.__repr__``, strings through
+``json.encoder.encode_basestring_ascii``, bools as ``true``/``false``, and
+any other value through ``json.dumps`` (:func:`_value`).  The lines are
+byte for byte what ``json.dumps`` writes for the record, which a
+Hypothesis property pins (``tests/test_telemetry_encoding.py``).
 See ``docs/architecture.md`` ("Telemetry & observability") for the memory
 model and the exact-vs-sketch guarantees.
 """
@@ -79,6 +88,7 @@ import json
 import math
 import os
 import warnings
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .admission import JobOutcome
@@ -430,6 +440,31 @@ def _check_replay_fields(record: dict, line_no: int) -> None:
             )
 
 
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _value(value: Any) -> str:
+    """``value``'s text as ``json.dumps`` writes it.
+
+    Finite floats, ints, strings and bools, which are what the simulator
+    passes, are written here; anything else (a non-finite float, ``None``,
+    a list, a numpy scalar, another tenant type) goes through
+    ``json.dumps``.
+    """
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return _float_repr(value)
+    elif kind is int:
+        return _int_repr(value)
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    elif kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value)
+
+
 class Telemetry:
     """Streaming metrics sink fed by the simulator at lifecycle transitions.
 
@@ -516,16 +551,20 @@ class Telemetry:
     ) -> None:
         if self._stream is None:
             return
-        record = {"event": event, "t": time}
+        # The text json.dumps writes for {"event": event, "t": time, "job":
+        # job_id, **fields} without its None fields; event and the keys are
+        # the hooks' ASCII literals, in the schema's order.
+        line = '{"event": "' + event + '", "t": ' + _value(time)
         if job_id is not None:
-            record["job"] = job_id
+            line += ', "job": ' + _value(job_id)
         for key, value in fields.items():
             if value is not None:
-                record[key] = value
+                # detlint: ignore[DET003] string concatenation in keyword order, which is the hook's literal call order and the schema's field order
+                line += ', "' + key + '": ' + _value(value)
+        line += "}\n"
         # One write + flush per event: a crash can tear at most the line
         # being written, which iter_events tolerates and a checkpoint
-        # resume truncates away (json.dumps is ASCII, so len == bytes).
-        line = json.dumps(record) + "\n"
+        # resume truncates away (the line is ASCII, so len == bytes).
         self._stream.write(line)
         self._stream.flush()
         self.events_bytes += len(line)

@@ -21,6 +21,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .context import PlacementContext
 
 
+def _pick(rng: np.random.Generator, n: int) -> int:
+    """A uniform index below ``n``, and 0 without a draw when ``n`` is 1.
+
+    numpy answers ``integers(1)`` with 0 and leaves the generator as it
+    was, so skipping that call changes neither the pick nor the state.
+    """
+    return 0 if n == 1 else int(rng.integers(n))
+
+
 def random_qpu_walk(
     cloud: QuantumCloud,
     required_qubits: int,
@@ -39,13 +48,13 @@ def random_qpu_walk(
             f"cloud has {sum(available.values())} free qubits, need {required_qubits}"
         )
     qpu_ids = cloud.qpu_ids
-    start = qpu_ids[int(rng.integers(len(qpu_ids)))]
+    start = qpu_ids[_pick(rng, len(qpu_ids))]
     selected: List[int] = []
     capacity = 0
     visited = {start}
     frontier = [start]
     while frontier and capacity < required_qubits:
-        index = int(rng.integers(len(frontier)))
+        index = _pick(rng, len(frontier))
         qpu = frontier.pop(index)
         if available[qpu] > 0:
             selected.append(qpu)
@@ -92,7 +101,7 @@ def random_mapping(
         options = [qpu for qpu in qpu_set if slack[qpu] > 0]
         if not options:
             raise MappingError("selected QPU set ran out of capacity")
-        choice = options[int(rng.integers(len(options)))]
+        choice = options[_pick(rng, len(options))]
         mapping[qubit] = choice
         slack[choice] -= 1
     return mapping

@@ -235,7 +235,8 @@ class TestResumeBitIdentity:
         """A resumed run keeps snapshotting to the same path by default."""
         scn = scenario(tmp_root, CloudQCScheduler)
         snapshot = scn.snapshots[0]
-        target = json.load(open(snapshot))["state"]["checkpoint"]["path"]
+        with open(snapshot) as stream:
+            target = json.load(stream)["state"]["checkpoint"]["path"]
         before = os.path.getmtime(target)
         job_module.set_job_counter(0)
         scn._make_sim().resume_stream(snapshot)

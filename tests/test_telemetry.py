@@ -610,9 +610,8 @@ class TestEventStream:
                     telemetry=sink,
                     checkpoint=CheckpointConfig(path=snap_path, every_jobs=2),
                 )
-            outputs.append(
-                (events_path.read_bytes(), open(snap_path, "rb").read())
-            )
+            with open(snap_path, "rb") as snapshot:
+                outputs.append((events_path.read_bytes(), snapshot.read()))
         assert outputs[1] == outputs[0]
         saved = read_snapshot(snap_path)["state"]["telemetry"]["events"]
         assert saved["path"] == str(events_path)
@@ -628,8 +627,9 @@ class TestEventStream:
     def test_close_owns_path_stream(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         sink = Telemetry(events=path)
-        sink._emit("admitted", 0.0, "job-0", depth=1)
+        sink.job_admitted("job-0", 0.0)
         sink.close()
-        assert json.loads(open(path).read())["depth"] == 1
+        with open(path) as stream:
+            assert json.loads(stream.read())["depth"] == 1
         # Closing twice is harmless.
         sink.close()

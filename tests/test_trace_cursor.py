@@ -91,7 +91,8 @@ class TestCursorValidation:
 
     def test_cursor_yields_same_records_as_iteration(self, tmp_path):
         path = self._path(tmp_path)
-        assert list(TraceReader(path).cursor()) == list(TraceReader(path))
+        with TraceReader(path).cursor() as cursor:
+            assert list(cursor) == list(TraceReader(path))
 
     def test_requires_path_source(self, tmp_path):
         path = self._path(tmp_path)
